@@ -21,10 +21,7 @@
 //! β    ← rs / rs_old; rs_old ← rs   (host)
 //! ```
 
-use neon_core::{
-    ExecError, ExecReport, FaultPlan, FaultStats, OccLevel, ResilientError, ResilientRun, Skeleton,
-    SkeletonOptions,
-};
+use neon_core::{ExecReport, FaultStats, OccLevel, Skeleton, SkeletonOptions};
 use neon_domain::{ops, Container, Field, GridLike, MemLayout, ScalarSet};
 use neon_sys::{Result, SimTime};
 
@@ -254,33 +251,6 @@ impl<G: GridLike> CgSolver<G> {
         self.iter.run_iters(n)
     }
 
-    /// Fallible variant of [`CgSolver::iterate`]: stops at the first
-    /// iteration that fails with a structured error instead of panicking.
-    pub fn try_iterate(&mut self, n: usize) -> std::result::Result<ExecReport, ExecError> {
-        let mut report = ExecReport::default();
-        for _ in 0..n {
-            report.accumulate(self.iter.try_run()?);
-        }
-        Ok(report)
-    }
-
-    /// Run iterations `start .. start + n` of the CG loop with periodic
-    /// checkpoints and automatic rollback (see
-    /// [`Skeleton::run_iters_resilient`]).
-    pub fn iterate_resilient(
-        &mut self,
-        start: u64,
-        n: usize,
-    ) -> std::result::Result<ResilientRun, Box<ResilientError>> {
-        self.iter.run_iters_resilient(start, n)
-    }
-
-    /// Install a fault plan on the iteration skeleton; the retry policy is
-    /// derived from the skeleton's [`neon_core::ResilienceOptions`].
-    pub fn install_fault_plan(&mut self, plan: FaultPlan) {
-        self.iter.install_fault_plan(plan);
-    }
-
     /// Fault statistics of the iteration skeleton.
     pub fn fault_stats(&self) -> FaultStats {
         self.iter.fault_stats()
@@ -311,19 +281,6 @@ impl<G: GridLike> CgSolver<G> {
     /// The iteration skeleton (for graph introspection and traces).
     pub fn iteration_skeleton(&mut self) -> &mut Skeleton {
         &mut self.iter
-    }
-
-    /// The compiled plan of the iteration skeleton. The serving layer's
-    /// tests compare `plan().schedule_arc()` pointers across tenants to
-    /// prove plan-cache sharing.
-    pub fn iteration_plan(&self) -> &std::sync::Arc<neon_core::CompiledPlan> {
-        self.iter.plan()
-    }
-
-    /// Capture a checkpoint of the iteration skeleton's write set at
-    /// logical iteration `iteration` (see [`Skeleton::capture_checkpoint`]).
-    pub fn capture_checkpoint(&self, iteration: u64) -> neon_set::Checkpoint {
-        self.iter.capture_checkpoint(iteration)
     }
 
     /// Compile statistics: cache hits and compile wall-clock time. A

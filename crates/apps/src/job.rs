@@ -9,30 +9,30 @@
 //! next iteration yet — which is why a multiplexed run stays bit-identical
 //! to a solo run of the same job.
 //!
-//! Three more capabilities make the handles schedulable under faults:
+//! Two more capabilities make the handles schedulable under faults:
 //!
-//! * **checkpoint/restore** ([`SolverJob::capture`] / [`SolverJob::restore`])
-//!   at iteration boundaries, so a quantum aborted by a device loss can be
-//!   rolled back to its start;
-//! * **migration** ([`SolverJob::migrate_to`]) onto a different (typically
-//!   smaller or re-carved) backend, moving state through logical
-//!   coordinates exactly like [`crate::ResilientPoisson`] does;
-//! * **counter deltas** ([`SolverJob::counters`]) that survive migration, so
+//! * **recovery** through [`neon_core::Recoverable`]: checkpoint/restore at
+//!   iteration boundaries (a quantum aborted by a device loss rolls back to
+//!   its start), a fallible single step, and a rebuild onto a different
+//!   backend that moves state through logical coordinates — so the
+//!   [`neon_core::Supervisor`] gives every job retry, rollback, link repair
+//!   and eviction;
+//! * **counter deltas** ([`SolverJob::counters`]) that survive rebuilds, so
 //!   per-tenant accounting can slice shared [`neon_sys::QueueSim`] counters
 //!   without a global reset.
 //!
 //! Setup work (CG initialization) is charged to the first
-//! [`SolverJob::advance`] report, so serving throughput numbers include it;
-//! re-plan/migration cost after a device loss is *not* modelled on the
-//! virtual clock (consistent with [`crate::ResilientPoisson`], where
-//! recompilation is host-side work).
+//! [`SolverJob::advance`] report, so serving throughput numbers include it
+//! (a supervised [`neon_core::Recoverable::try_step`] reports the iteration
+//! alone); rebuild cost after a device loss is *not* modelled on the
+//! virtual clock (recompilation is host-side work).
 
-use neon_core::{ExecReport, SkeletonOptions};
+use neon_core::{ExecError, ExecReport, FaultPlan, FaultStats, Recoverable, SkeletonOptions};
 use neon_domain::{DenseGrid, Dim3, Stencil, StorageMode};
 use neon_set::Checkpoint;
 use std::hash::Hasher as _;
 
-use neon_sys::{Backend, CounterSnapshot, Result, StableHasher};
+use neon_sys::{Backend, CounterSnapshot, NeonSysError, Result, StableHasher};
 
 use crate::lbm::{LbmParams, LidDrivenCavity};
 use crate::poisson::PoissonSolver;
@@ -77,21 +77,33 @@ impl JobSpec {
                 dim,
                 iters,
                 rhs_seed,
-            } => Ok(Box::new(PoissonJob::new(
-                backend, dim, iters, rhs_seed, options,
-            )?)),
+            } => {
+                let dim = Dim3::cube(dim as usize);
+                let rhs = poisson_rhs(rhs_seed);
+                Ok(Box::new(PoissonJob::new(
+                    backend, dim, iters, options, rhs,
+                )?))
+            }
             JobSpec::Lbm { dim, iters } => Ok(Box::new(LbmJob::new(backend, dim, iters, options)?)),
         }
     }
 }
 
 /// A resumable solver job: the scheduling unit of `neon-serve`.
-pub trait SolverJob {
+///
+/// Checkpoint, restore and rebuild-on-a-new-backend come from
+/// [`Recoverable`], so the recovery supervisor drives any job through
+/// every fault tier with no per-solver code.
+pub trait SolverJob: Recoverable {
     /// Devices of the backend the job currently runs on.
-    fn num_devices(&self) -> usize;
+    fn num_devices(&self) -> usize {
+        self.backend().num_devices()
+    }
 
     /// Iterations committed so far.
-    fn completed(&self) -> u64;
+    fn completed(&self) -> u64 {
+        self.iteration()
+    }
 
     /// Total iterations the job needs.
     fn total(&self) -> u64;
@@ -112,34 +124,27 @@ pub trait SolverJob {
     /// fingerprint identically, bit for bit.
     fn result_bits(&self) -> u64;
 
-    /// Capture a checkpoint of the job's full iteration state at the
-    /// current iteration boundary.
-    fn capture(&mut self) -> Checkpoint;
-
-    /// Roll back to `cp` (state *and* iteration counter).
-    fn restore(&mut self, cp: &Checkpoint);
-
-    /// Rebuild the job on `backend` (same spec, fresh compile through the
-    /// plan cache) and migrate the current state through logical
-    /// coordinates. The iteration counter is preserved; counters
-    /// accumulated so far are folded into [`SolverJob::counters`].
-    fn migrate_to(&mut self, backend: &Backend) -> Result<()>;
+    /// Install a fault plan on the job's executors (dropped by the next
+    /// [`Recoverable::rebuild`]).
+    fn install_fault_plan(&mut self, plan: FaultPlan);
 
     /// Cumulative utilization of this job across its whole life, including
-    /// executors discarded by migrations.
+    /// executors discarded by rebuilds.
     fn counters(&self) -> CounterSnapshot;
 }
 
 /// Deterministic right-hand side: a pure function of logical coordinates
 /// and the seed (FNV-style mixing), uniform in roughly `[-1, 1)`. Being
 /// partition-independent, every backend builds the identical problem.
-fn poisson_rhs(seed: u64, x: i32, y: i32, z: i32) -> f64 {
-    let mut h = seed ^ 0x9E37_79B9_7F4A_7C15;
-    for v in [x as u64, y as u64, z as u64] {
-        h ^= v.wrapping_add(0x0123_4567_89AB_CDEF);
-        h = h.wrapping_mul(0x1000_0000_01B3);
+fn poisson_rhs(seed: u64) -> impl Fn(i32, i32, i32) -> f64 {
+    move |x, y, z| {
+        let mut h = seed ^ 0x9E37_79B9_7F4A_7C15;
+        for v in [x as u64, y as u64, z as u64] {
+            h ^= v.wrapping_add(0x0123_4567_89AB_CDEF);
+            h = h.wrapping_mul(0x1000_0000_01B3);
+        }
+        ((h >> 11) % 4096) as f64 / 2048.0 - 1.0
     }
-    ((h >> 11) % 4096) as f64 / 2048.0 - 1.0
 }
 
 /// Poisson CG as a resumable job.
@@ -149,39 +154,33 @@ pub struct PoissonJob {
     options: SkeletonOptions,
     solver: PoissonSolver<DenseGrid>,
     total: u64,
-    completed: u64,
-    /// Residual bits after each committed iteration (truncated on restore).
+    /// Residual bits after each committed iteration (truncated on restore);
+    /// its length is the iteration counter.
     residual_bits: Vec<u64>,
     /// Setup (cg-init) virtual time, folded into the first advance report.
     pending_setup: ExecReport,
-    /// Counters of executors discarded by past migrations.
+    /// Counters of executors discarded by past rebuilds.
     base_counters: CounterSnapshot,
 }
 
 impl PoissonJob {
-    /// Build and initialize the solver on `backend`.
+    /// Build the solver on `backend` for a dense `dim` grid, fill the
+    /// right-hand side from `rhs(x, y, z)` and initialize CG.
     pub fn new(
         backend: &Backend,
-        dim: u32,
+        dim: Dim3,
         iters: u64,
-        rhs_seed: u64,
         options: SkeletonOptions,
+        rhs: impl Fn(i32, i32, i32) -> f64,
     ) -> Result<Self> {
-        let dim3 = Dim3::cube(dim as usize);
-        let mut solver = Self::build_solver(backend, dim3, &options)?;
-        solver
-            .cg
-            .state
-            .b
-            .fill(|x, y, z, _| poisson_rhs(rhs_seed, x, y, z));
-        let setup = solver.cg.init();
+        let mut solver = Self::build_solver(backend, dim, &options)?;
+        let setup = solver.set_rhs(rhs);
         Ok(PoissonJob {
             backend: backend.clone(),
-            dim: dim3,
+            dim,
             options,
             solver,
             total: iters,
-            completed: 0,
             residual_bits: Vec::new(),
             pending_setup: setup,
             base_counters: CounterSnapshot::default(),
@@ -197,55 +196,50 @@ impl PoissonJob {
         let grid = DenseGrid::new(backend, dim, &[&stencil], StorageMode::Real)?;
         PoissonSolver::with_options(&grid, *options)
     }
+
+    /// Current residual norm.
+    pub fn residual(&self) -> f64 {
+        self.solver.residual()
+    }
 }
 
-impl SolverJob for PoissonJob {
-    fn num_devices(&self) -> usize {
-        self.backend.num_devices()
-    }
-
-    fn completed(&self) -> u64 {
-        self.completed
-    }
-
-    fn total(&self) -> u64 {
-        self.total
-    }
-
-    fn advance(&mut self, iters: u64) -> ExecReport {
-        let span = iters.min(self.total - self.completed);
-        let mut report = std::mem::take(&mut self.pending_setup);
-        for _ in 0..span {
-            report.accumulate(self.solver.solve_iters(1));
-            self.completed += 1;
-            self.residual_bits
-                .push(self.solver.cg.state.rs_old.host_value().to_bits());
-        }
-        report
-    }
-
-    fn result_bits(&self) -> u64 {
-        let mut h = StableHasher::new();
-        for b in &self.residual_bits {
-            h.write_u64(*b);
-        }
-        h.finish()
+impl Recoverable for PoissonJob {
+    fn iteration(&self) -> u64 {
+        self.residual_bits.len() as u64
     }
 
     fn capture(&mut self) -> Checkpoint {
-        self.solver.cg.capture_checkpoint(self.completed)
+        let iteration = self.iteration();
+        self.solver
+            .cg
+            .iteration_skeleton()
+            .capture_checkpoint(iteration)
     }
 
     fn restore(&mut self, cp: &Checkpoint) {
         cp.restore();
-        self.completed = cp.iteration();
-        self.residual_bits.truncate(self.completed as usize);
+        self.residual_bits.truncate(cp.iteration() as usize);
     }
 
-    fn migrate_to(&mut self, backend: &Backend) -> Result<()> {
+    fn try_step(&mut self) -> std::result::Result<ExecReport, ExecError> {
+        let iteration = self.iteration();
+        let sk = self.solver.cg.iteration_skeleton();
+        sk.set_logical_iteration(iteration);
+        let r = sk.try_run()?;
+        self.residual_bits
+            .push(self.solver.cg.state.rs_old.host_value().to_bits());
+        Ok(r)
+    }
+
+    fn backend(&self) -> &Backend {
+        &self.backend
+    }
+
+    fn rebuild(&mut self, backend: &Backend) -> Result<()> {
+        // Build first: a failed rebuild leaves the job untouched.
+        let fresh = Self::build_solver(backend, self.dim, &self.options)?;
         self.base_counters
             .accumulate(&self.solver.counters_snapshot());
-        let fresh = Self::build_solver(backend, self.dim, &self.options)?;
         // Partition boundaries moved; the logical (x, y, z) → value map did
         // not. `b` migrates too: it is read-only but still the problem.
         let old = &self.solver.cg.state;
@@ -276,6 +270,44 @@ impl SolverJob for PoissonJob {
         Ok(())
     }
 
+    fn fault_stats(&self) -> FaultStats {
+        self.solver.cg.fault_stats()
+    }
+
+    fn checkpoint_interval(&self) -> u32 {
+        self.options.resilience.checkpoint_interval
+    }
+}
+
+impl SolverJob for PoissonJob {
+    fn total(&self) -> u64 {
+        self.total
+    }
+
+    fn advance(&mut self, iters: u64) -> ExecReport {
+        let span = iters.min(self.total - self.completed());
+        let mut report = std::mem::take(&mut self.pending_setup);
+        for _ in 0..span {
+            report.accumulate(
+                self.try_step()
+                    .unwrap_or_else(|e| panic!("cg step failed: {e}")),
+            );
+        }
+        report
+    }
+
+    fn result_bits(&self) -> u64 {
+        let mut h = StableHasher::new();
+        for b in &self.residual_bits {
+            h.write_u64(*b);
+        }
+        h.finish()
+    }
+
+    fn install_fault_plan(&mut self, plan: FaultPlan) {
+        self.solver.cg.iteration_skeleton().install_fault_plan(plan);
+    }
+
     fn counters(&self) -> CounterSnapshot {
         let mut total = self.base_counters;
         total.accumulate(&self.solver.counters_snapshot());
@@ -290,13 +322,18 @@ pub struct LbmJob {
     options: SkeletonOptions,
     app: LidDrivenCavity<DenseGrid>,
     total: u64,
-    completed: u64,
     base_counters: CounterSnapshot,
 }
 
 impl LbmJob {
     /// Build and initialize the cavity on `backend`.
     pub fn new(backend: &Backend, dim: u32, iters: u64, options: SkeletonOptions) -> Result<Self> {
+        options
+            .resilience
+            .validate()
+            .map_err(|e| NeonSysError::InvalidConfig {
+                what: e.to_string(),
+            })?;
         let dim3 = Dim3::cube(dim as usize);
         let mut app = Self::build_app(backend, dim3, &options)?;
         app.init();
@@ -306,7 +343,6 @@ impl LbmJob {
             options,
             app,
             total: iters,
-            completed: 0,
             base_counters: CounterSnapshot::default(),
         })
     }
@@ -322,48 +358,31 @@ impl LbmJob {
     }
 }
 
-impl SolverJob for LbmJob {
-    fn num_devices(&self) -> usize {
-        self.backend.num_devices()
-    }
-
-    fn completed(&self) -> u64 {
-        self.completed
-    }
-
-    fn total(&self) -> u64 {
-        self.total
-    }
-
-    fn advance(&mut self, iters: u64) -> ExecReport {
-        let span = iters.min(self.total - self.completed);
-        let report = self.app.step(span as usize);
-        self.completed += span;
-        report
-    }
-
-    fn result_bits(&self) -> u64 {
-        let mut h = StableHasher::new();
-        h.write_u64(self.completed);
-        self.app
-            .current()
-            .for_each(|_, _, _, _, v| h.write_u64(v.to_bits()));
-        h.finish()
+impl Recoverable for LbmJob {
+    fn iteration(&self) -> u64 {
+        self.app.step_index() as u64
     }
 
     fn capture(&mut self) -> Checkpoint {
-        Checkpoint::capture(self.completed, &self.app.checkpoint_handles())
+        Checkpoint::capture(self.iteration(), &self.app.checkpoint_handles())
     }
 
     fn restore(&mut self, cp: &Checkpoint) {
         cp.restore();
-        self.completed = cp.iteration();
-        self.app.set_step_index(self.completed as usize);
+        self.app.set_step_index(cp.iteration() as usize);
     }
 
-    fn migrate_to(&mut self, backend: &Backend) -> Result<()> {
+    fn try_step(&mut self) -> std::result::Result<ExecReport, ExecError> {
+        self.app.try_step()
+    }
+
+    fn backend(&self) -> &Backend {
+        &self.backend
+    }
+
+    fn rebuild(&mut self, backend: &Backend) -> Result<()> {
+        let mut fresh = Self::build_app(backend, self.dim, &self.options)?;
         self.base_counters.accumulate(&self.app.counters_snapshot());
-        let fresh = Self::build_app(backend, self.dim, &self.options)?;
         for q in 0..2 {
             let (src, dst) = (self.app.population(q), fresh.population(q));
             src.for_each(|x, y, z, comp, v| {
@@ -371,10 +390,42 @@ impl SolverJob for LbmJob {
             });
             dst.update_halos();
         }
+        fresh.set_step_index(self.app.step_index());
         self.app = fresh;
-        self.app.set_step_index(self.completed as usize);
         self.backend = backend.clone();
         Ok(())
+    }
+
+    fn fault_stats(&self) -> FaultStats {
+        self.app.fault_stats()
+    }
+
+    fn checkpoint_interval(&self) -> u32 {
+        self.options.resilience.checkpoint_interval
+    }
+}
+
+impl SolverJob for LbmJob {
+    fn total(&self) -> u64 {
+        self.total
+    }
+
+    fn advance(&mut self, iters: u64) -> ExecReport {
+        let span = iters.min(self.total - self.completed());
+        self.app.step(span as usize)
+    }
+
+    fn result_bits(&self) -> u64 {
+        let mut h = StableHasher::new();
+        h.write_u64(self.completed());
+        self.app
+            .current()
+            .for_each(|_, _, _, _, v| h.write_u64(v.to_bits()));
+        h.finish()
+    }
+
+    fn install_fault_plan(&mut self, plan: FaultPlan) {
+        self.app.install_fault_plan(plan);
     }
 
     fn counters(&self) -> CounterSnapshot {
@@ -485,14 +536,14 @@ mod tests {
         ] {
             let mut a = spec.build(&two, options()).unwrap();
             a.advance(3);
-            a.migrate_to(&one).unwrap();
+            a.rebuild(&one).unwrap();
             assert_eq!(a.num_devices(), 1);
             a.advance(3);
 
             let other_one = fleet.with_devices(&[DeviceId(2)]).unwrap();
             let mut b = spec.build(&two, options()).unwrap();
             b.advance(3);
-            b.migrate_to(&other_one).unwrap();
+            b.rebuild(&other_one).unwrap();
             b.advance(3);
             assert_eq!(
                 a.result_bits(),

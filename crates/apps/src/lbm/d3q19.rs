@@ -10,7 +10,9 @@
 //! the moving-wall momentum correction `6·w_q·(c_q · u_w)` on the lid
 //! plane `y = ny−1` (fluid density ρ₀ = 1).
 
-use neon_core::{ExecReport, OccLevel, Skeleton, SkeletonOptions};
+use neon_core::{
+    ExecError, ExecReport, FaultPlan, FaultStats, OccLevel, Skeleton, SkeletonOptions,
+};
 use neon_domain::{
     Cell, Container, Field, FieldRead as _, FieldStencil as _, FieldWrite as _, GridLike, KernelFn,
     KernelShape,
@@ -209,11 +211,36 @@ impl<G: GridLike> LidDrivenCavity<G> {
     pub fn step(&mut self, n: usize) -> ExecReport {
         let mut total = ExecReport::default();
         for _ in 0..n {
-            let r = self.skeletons[self.step % 2].run();
+            let r = self
+                .try_step()
+                .unwrap_or_else(|e| panic!("lbm step failed: {e}"));
             total.accumulate(r);
-            self.step += 1;
         }
         total
+    }
+
+    /// Advance one iteration, reporting failures as values. The step index
+    /// is the logical iteration fault plans target; it advances only on
+    /// success.
+    pub fn try_step(&mut self) -> std::result::Result<ExecReport, ExecError> {
+        let sk = &mut self.skeletons[self.step % 2];
+        sk.set_logical_iteration(self.step as u64);
+        let r = sk.try_run()?;
+        self.step += 1;
+        Ok(r)
+    }
+
+    /// Install `plan` on both ping-pong skeletons. Each runs only its own
+    /// parity's logical iterations, so every spec fires at most once.
+    pub fn install_fault_plan(&mut self, plan: FaultPlan) {
+        for sk in &mut self.skeletons {
+            sk.install_fault_plan(plan.clone());
+        }
+    }
+
+    /// Fault counters of both ping-pong skeletons, summed.
+    pub fn fault_stats(&self) -> FaultStats {
+        self.skeletons[0].fault_stats() + self.skeletons[1].fault_stats()
     }
 
     /// The field currently holding the latest populations.

@@ -33,11 +33,9 @@ pub mod jacobi;
 pub mod job;
 pub mod lbm;
 pub mod poisson;
-pub mod resilient;
 
 pub use cg::{CgSolver, CgState, CompileStats};
 pub use heat::HeatSolver;
 pub use jacobi::JacobiSolver;
 pub use job::{JobSpec, LbmJob, PoissonJob, SolverJob};
 pub use poisson::PoissonSolver;
-pub use resilient::{RecoveryReport, ResilientPoisson};

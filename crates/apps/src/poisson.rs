@@ -78,43 +78,16 @@ impl<G: GridLike> PoissonSolver<G> {
         Ok(PoissonSolver { cg })
     }
 
-    /// Fill the right-hand side from `f(x, y, z)` and initialize CG.
-    pub fn set_rhs(&mut self, f: impl Fn(i32, i32, i32) -> f64) {
+    /// Fill the right-hand side from `f(x, y, z)` and initialize CG,
+    /// returning the initialization's report.
+    pub fn set_rhs(&mut self, f: impl Fn(i32, i32, i32) -> f64) -> neon_core::ExecReport {
         self.cg.state.b.fill(|x, y, z, _| f(x, y, z));
-        self.cg.init();
+        self.cg.init()
     }
 
     /// Run `n` CG iterations; returns the per-iteration virtual time.
     pub fn solve_iters(&mut self, n: usize) -> neon_core::ExecReport {
         self.cg.iterate(n)
-    }
-
-    /// Fallible variant of [`PoissonSolver::solve_iters`]: a fault that
-    /// escapes retry surfaces as a structured error instead of a panic.
-    pub fn try_solve_iters(
-        &mut self,
-        n: usize,
-    ) -> std::result::Result<neon_core::ExecReport, neon_core::ExecError> {
-        self.cg.try_iterate(n)
-    }
-
-    /// Run iterations `start .. start + n` with checkpoints and rollback.
-    pub fn solve_iters_resilient(
-        &mut self,
-        start: u64,
-        n: usize,
-    ) -> std::result::Result<neon_core::ResilientRun, Box<neon_core::ResilientError>> {
-        self.cg.iterate_resilient(start, n)
-    }
-
-    /// Install a fault plan on the CG iteration skeleton.
-    pub fn install_fault_plan(&mut self, plan: neon_core::FaultPlan) {
-        self.cg.install_fault_plan(plan);
-    }
-
-    /// Fault statistics of the CG iteration skeleton.
-    pub fn fault_stats(&self) -> neon_core::FaultStats {
-        self.cg.fault_stats()
     }
 
     /// Reset cumulative hardware counters (between benchmark sweeps).

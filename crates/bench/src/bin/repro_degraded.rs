@@ -32,11 +32,12 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use neon_apps::{RecoveryReport, ResilientPoisson};
+use neon_apps::{PoissonJob, SolverJob};
 use neon_bench::render_table;
 use neon_comm::{choose, Algorithm, CollectiveKind};
 use neon_core::{
-    FaultPlan, OccLevel, ResilienceOptions, Skeleton, SkeletonOptions, StragglerPolicy,
+    FaultPlan, OccLevel, PermanentFault, RecoveryReport, ResilienceOptions, Skeleton,
+    SkeletonOptions, StragglerPolicy, Supervisor,
 };
 use neon_domain::{
     ops, Container, DenseGrid, Dim3, Field, FieldStencil as _, FieldWrite as _, GridLike,
@@ -75,11 +76,7 @@ struct ScenarioRun {
     virt_us: f64,
     residual_bits: Vec<u64>,
     final_residual: f64,
-    injected: u64,
-    recovered: u64,
-    retries: u64,
-    link_repairs: u64,
-    evictions: u64,
+    report: RecoveryReport,
     devices_end: usize,
 }
 
@@ -94,41 +91,40 @@ fn run_scenario(
     plan: Option<FaultPlan>,
     sever_at_start: Option<(DeviceId, DeviceId)>,
 ) -> ScenarioRun {
-    let mut solver = ResilientPoisson::new(backend, Dim3::cube(dim), options()).expect("solver");
-    solver.set_rhs(rhs_for(dim));
+    let job = PoissonJob::new(
+        backend,
+        Dim3::cube(dim),
+        iters as u64,
+        options(),
+        rhs_for(dim),
+    )
+    .expect("solver");
+    let mut sup = Supervisor::new(job);
     if let Some((a, b)) = sever_at_start {
-        solver.sever_link(a, b).expect("voluntary sever");
+        sup.heal(PermanentFault::LinkLoss(a, b))
+            .expect("voluntary sever");
     }
     if let Some(p) = plan {
-        solver.install_fault_plan(p);
+        sup.target_mut().install_fault_plan(p);
     }
 
-    let mut total = RecoveryReport::default();
     let mut residual_bits = Vec::with_capacity(iters);
     let t0 = Instant::now();
     for _ in 0..iters {
-        let r = solver.iterate(1).expect("iteration should heal");
-        total.report.accumulate(r.report);
-        total.rollbacks += r.rollbacks;
-        total.replayed += r.replayed;
-        total.evictions += r.evictions;
-        total.link_repairs += r.link_repairs;
-        residual_bits.push(solver.residual().to_bits());
+        sup.run(1).expect("iteration should heal");
+        residual_bits.push(sup.target().residual().to_bits());
     }
     let wall = t0.elapsed();
+    let report = sup.report();
 
     ScenarioRun {
         label,
         wall_ms: wall.as_secs_f64() * 1e3,
-        virt_us: total.report.makespan.as_us(),
+        virt_us: report.exec.makespan.as_us(),
         residual_bits,
-        final_residual: solver.residual(),
-        injected: total.report.faults_injected,
-        recovered: total.report.faults_recovered,
-        retries: total.report.retries,
-        link_repairs: total.link_repairs,
-        evictions: total.evictions,
-        devices_end: solver.backend().num_devices(),
+        final_residual: sup.target().residual(),
+        report,
+        devices_end: sup.target().num_devices(),
     }
 }
 
@@ -204,9 +200,9 @@ fn straggler_scenario(dim: usize, iters: usize) -> StragglerRun {
             },
         );
         sk.enable_straggler_monitor(StragglerPolicy::default());
-        let r = sk.run_iters_resilient(0, iters).expect("clean run");
+        let r = sk.run_iters(iters);
         let health = sk.health_report().expect("monitor enabled");
-        (r.report.makespan.as_us(), health)
+        (r.makespan.as_us(), health)
     };
 
     let (even_virt_us, health) = run(PartitionStrategy::Even);
@@ -331,8 +327,9 @@ fn main() {
         transient.residual_bits == clean.residual_bits,
         "transient link faults leave the residual history bit-identical",
     );
+    let tf = transient.report.faults;
     gate(
-        transient.injected == 2 && transient.recovered == 2 && transient.retries == 2,
+        tf.injected == 2 && tf.recovered == 2 && tf.retries == 2,
         "transient scenario actually injected and recovered link faults",
     );
     gate(
@@ -345,7 +342,7 @@ fn main() {
             &format!("{what} recovery is fully bit-transparent (no partition change)"),
         );
         gate(
-            r.link_repairs == 1 && r.evictions == 0 && r.devices_end == NDEV,
+            r.report.link_repairs == 1 && r.report.evictions == 0 && r.devices_end == NDEV,
             &format!("{what} healed by exactly one recompile, no eviction"),
         );
         gate(
@@ -366,7 +363,7 @@ fn main() {
         "reroute-on-split matches the degraded-topology oracle bit-for-bit",
     );
     gate(
-        reroute.link_repairs == 1 && reroute.devices_end == 3,
+        reroute.report.link_repairs == 1 && reroute.devices_end == 3,
         "island split healed by exactly one recompile, all devices survive",
     );
     gate(
@@ -444,11 +441,11 @@ fn main() {
             r.label,
             r.wall_ms,
             r.virt_us,
-            r.injected,
-            r.recovered,
-            r.retries,
-            r.link_repairs,
-            r.evictions,
+            r.report.faults.injected,
+            r.report.faults.recovered,
+            r.report.faults.retries,
+            r.report.link_repairs,
+            r.report.evictions,
             r.devices_end,
             r.final_residual,
             r.residual_bits == baseline(r.label).residual_bits,
@@ -467,10 +464,10 @@ fn row(r: &ScenarioRun, overhead: f64) -> Vec<String> {
         format!("{:.1}", r.wall_ms),
         format!("{:.1}", r.virt_us),
         format!("{overhead:+.1}%"),
-        format!("{}/{}", r.recovered, r.injected),
-        format!("{}", r.retries),
-        format!("{}", r.link_repairs),
-        format!("{}", r.evictions),
+        format!("{}/{}", r.report.faults.recovered, r.report.faults.injected),
+        format!("{}", r.report.faults.retries),
+        format!("{}", r.report.link_repairs),
+        format!("{}", r.report.evictions),
         format!("{}", r.devices_end),
         format!("{:.3e}", r.final_residual),
     ]

@@ -16,10 +16,11 @@
 //!   bits differ from the 4-device run only through FP reduction
 //!   grouping, which is inherent to the partition-count change).
 //!
+//! Every scenario runs a [`PoissonJob`] under the recovery [`Supervisor`].
 //! Reported per scenario: host wall-clock, total virtual time (where
 //! retry backoff and replayed iterations show up as recovery overhead),
-//! fault counters, rollbacks and evictions. The identity gates above are
-//! asserted, not just printed.
+//! the supervisor's fault counters, rollbacks and evictions. The identity
+//! gates above are asserted, not just printed.
 //!
 //! Output: a table on stdout and machine-readable JSON at
 //! `results/BENCH_faults.json`.
@@ -30,10 +31,13 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use neon_apps::{PoissonSolver, RecoveryReport, ResilientPoisson};
+use neon_apps::{PoissonJob, SolverJob};
 use neon_bench::render_table;
-use neon_core::{ExecError, FaultPlan, OccLevel, ResilienceOptions, SkeletonOptions};
-use neon_domain::{DenseGrid, Dim3, Stencil, StorageMode};
+use neon_core::{
+    ExecError, FaultPlan, FaultStats, OccLevel, PermanentFault, Recoverable, RecoveryReport,
+    ResilienceOptions, SkeletonOptions, Supervisor,
+};
+use neon_domain::Dim3;
 use neon_sys::{Backend, DeviceId};
 
 const NDEV: usize = 4;
@@ -69,12 +73,7 @@ struct ScenarioRun {
     virt_us: f64,
     residual_bits: Vec<u64>,
     final_residual: f64,
-    injected: u64,
-    recovered: u64,
-    retries: u64,
-    rollbacks: u64,
-    replayed: u64,
-    evictions: u64,
+    report: RecoveryReport,
     devices_end: usize,
 }
 
@@ -93,73 +92,63 @@ fn run_scenario(
     chunked: bool,
 ) -> ScenarioRun {
     let backend = Backend::dgx_a100(NDEV);
-    let mut solver = ResilientPoisson::new(&backend, Dim3::cube(dim), options()).expect("solver");
-    solver.set_rhs(rhs_for(dim));
+    let job = PoissonJob::new(
+        &backend,
+        Dim3::cube(dim),
+        iters as u64,
+        options(),
+        rhs_for(dim),
+    )
+    .expect("solver");
+    let mut sup = Supervisor::new(job);
     if let Some(p) = plan {
-        solver.install_fault_plan(p);
+        sup.target_mut().install_fault_plan(p);
     }
 
-    let mut total = RecoveryReport::default();
     let mut residual_bits = Vec::with_capacity(iters);
     let t0 = Instant::now();
     if chunked {
-        let r = solver.iterate(iters).expect("iterations should heal");
-        total.report.accumulate(r.report);
-        total.rollbacks += r.rollbacks;
-        total.replayed += r.replayed;
-        total.evictions += r.evictions;
-        residual_bits.push(solver.residual().to_bits());
+        sup.run(iters as u64).expect("iterations should heal");
+        residual_bits.push(sup.target().residual().to_bits());
     } else {
         for i in 0..iters as u64 {
             if let Some((at, dead)) = evict_at {
                 if i == at {
-                    solver.evict_device(dead).expect("voluntary eviction");
+                    sup.heal(PermanentFault::DeviceLoss(dead))
+                        .expect("voluntary eviction");
                 }
             }
-            let r = solver.iterate(1).expect("iteration should heal");
-            total.report.accumulate(r.report);
-            total.rollbacks += r.rollbacks;
-            total.replayed += r.replayed;
-            total.evictions += r.evictions;
-            residual_bits.push(solver.residual().to_bits());
+            sup.run(1).expect("iteration should heal");
+            residual_bits.push(sup.target().residual().to_bits());
         }
     }
     let wall = t0.elapsed();
+    let report = sup.report();
 
     ScenarioRun {
         label,
         wall_ms: wall.as_secs_f64() * 1e3,
-        virt_us: total.report.makespan.as_us(),
+        virt_us: report.exec.makespan.as_us(),
         residual_bits,
-        final_residual: solver.residual(),
-        injected: total.report.faults_injected,
-        recovered: total.report.faults_recovered,
-        retries: total.report.retries,
-        rollbacks: total.rollbacks,
-        replayed: total.replayed,
-        evictions: total.evictions,
-        devices_end: solver.backend().num_devices(),
+        final_residual: sup.target().residual(),
+        report,
+        devices_end: sup.target().num_devices(),
     }
 }
 
 /// With recovery disabled, an injected fault must surface as a structured
 /// [`ExecError`], not a panic.
 fn check_structured_failure(dim: usize) {
+    let options = SkeletonOptions {
+        occ: OccLevel::Standard,
+        ..Default::default() // resilience disabled: max_attempts == 1
+    };
     let backend = Backend::dgx_a100(NDEV);
-    let st = Stencil::seven_point();
-    let grid = DenseGrid::new(&backend, Dim3::cube(dim), &[&st], StorageMode::Real).expect("grid");
-    let mut solver = PoissonSolver::with_options(
-        &grid,
-        SkeletonOptions {
-            occ: OccLevel::Standard,
-            ..Default::default() // resilience disabled: max_attempts == 1
-        },
-    )
-    .expect("solver");
-    solver.set_rhs(rhs_for(dim));
-    solver.install_fault_plan(FaultPlan::none().with_kernel_fault(1, DeviceId(1), 0, 1));
-    let err = solver
-        .try_solve_iters(4)
+    let mut job =
+        PoissonJob::new(&backend, Dim3::cube(dim), 4, options, rhs_for(dim)).expect("solver");
+    job.install_fault_plan(FaultPlan::none().with_kernel_fault(1, DeviceId(1), 0, 1));
+    let err = (0..4)
+        .try_for_each(|_| job.try_step().map(drop))
         .expect_err("fault with recovery disabled must fail");
     assert!(
         matches!(err, ExecError::TransientFaultEscaped { device, .. } if device == DeviceId(1)),
@@ -214,15 +203,16 @@ fn main() {
     let mut rows = Vec::new();
     for r in [&clean, &transient, &rollback, &loss, &oracle] {
         let overhead = (r.virt_us - clean.virt_us) / clean.virt_us * 100.0;
+        let (rep, f) = (&r.report, &r.report.faults);
         rows.push(vec![
             r.label.to_string(),
             format!("{:.1}", r.wall_ms),
             format!("{:.1}", r.virt_us),
             format!("{overhead:+.1}%"),
-            format!("{}/{}", r.recovered, r.injected),
-            format!("{}", r.retries),
-            format!("{}/{}", r.rollbacks, r.replayed),
-            format!("{}", r.evictions),
+            format!("{}/{}", f.recovered, f.injected),
+            format!("{}", f.retries),
+            format!("{}/{}", rep.rollbacks, rep.replayed),
+            format!("{}", rep.evictions),
             format!("{}", r.devices_end),
             format!("{:.3e}", r.final_residual),
         ]);
@@ -262,8 +252,9 @@ fn main() {
         transient.residual_bits == clean.residual_bits,
         "retried faults leave the residual history bit-identical",
     );
+    let tf: FaultStats = transient.report.faults;
     gate(
-        transient.injected >= 2 && transient.recovered >= 2 && transient.retries >= 3,
+        tf.injected >= 2 && tf.recovered >= 2 && tf.retries >= 3,
         "transient scenario actually injected and recovered faults",
     );
     gate(
@@ -271,7 +262,7 @@ fn main() {
         "checkpoint rollback reconverges bit-identically",
     );
     gate(
-        rollback.rollbacks >= 1 && rollback.replayed >= 1,
+        rollback.report.rollbacks >= 1 && rollback.report.replayed >= 1,
         "rollback scenario actually rolled back and replayed",
     );
     gate(
@@ -287,12 +278,22 @@ fn main() {
         "post-loss history matches the voluntary-eviction oracle bit-for-bit",
     );
     gate(
-        loss.evictions == 1 && loss.devices_end == NDEV - 1,
+        loss.report.evictions == 1 && loss.devices_end == NDEV - 1,
         "device loss healed by exactly one eviction",
     );
     gate(
         loss.virt_us > clean.virt_us,
         "losing a device costs virtual time (capability loss is visible)",
+    );
+    gate(
+        [&clean, &transient, &rollback, &loss, &oracle]
+            .iter()
+            .all(|r| {
+                let rep = &r.report;
+                rep.exec.executions == rep.committed + rep.replayed
+                    && rep.faults.escaped == rep.rollbacks
+            }),
+        "every execution is committed or replayed, every escaped fault rolled back",
     );
     check_structured_failure(dim);
     println!("PASS: recovery-disabled faults fail with a structured error, no panic");
@@ -336,12 +337,12 @@ fn main() {
             r.label,
             r.wall_ms,
             r.virt_us,
-            r.injected,
-            r.recovered,
-            r.retries,
-            r.rollbacks,
-            r.replayed,
-            r.evictions,
+            r.report.faults.injected,
+            r.report.faults.recovered,
+            r.report.faults.retries,
+            r.report.rollbacks,
+            r.report.replayed,
+            r.report.evictions,
             r.devices_end,
             r.final_residual,
             r.residual_bits.last() == clean.residual_bits.last(),

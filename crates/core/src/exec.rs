@@ -115,10 +115,6 @@ pub enum FunctionalMode {
     /// Walk tasks strictly in schedule order on the calling thread: the
     /// bit-exactness reference.
     Serial,
-    /// One `std::thread::scope` per kernel launch (the historical
-    /// behavior): per-device parallelism inside a launch, a full
-    /// spawn/join round trip per launch, no cross-task overlap.
-    SpawnPerLaunch,
     /// Event-driven replay on a persistent per-device worker pool walking
     /// the compiled [`DevicePlan`] — cross-task overlap exactly where the
     /// event table allows it, no thread spawns in steady state.
@@ -146,39 +142,15 @@ pub enum ExecError {
         /// Attempts made (the policy's bound).
         attempts: u32,
     },
-    /// A device was lost permanently. Every subsequent execution fails the
-    /// same way until the caller rebuilds the plan on the survivors.
-    DeviceLost {
-        /// The dead device.
-        device: DeviceId,
-        /// Logical iteration at whose start the loss was detected.
-        iteration: u64,
-    },
-    /// A link was severed permanently: the topology the plan was compiled
-    /// on no longer exists, so its halo schedules and collective routes are
-    /// stale. Every subsequent execution fails the same way until the
-    /// caller recompiles on the degraded topology
-    /// ([`neon_sys::Backend::without_link`]). All devices survive, so no
-    /// state migration is needed — resume from the last checkpoint.
-    LinkLost {
-        /// One endpoint of the dead wire.
-        src: DeviceId,
-        /// The other endpoint.
-        dst: DeviceId,
-        /// Logical iteration at whose start the loss was detected.
-        iteration: u64,
-    },
-    /// A link was permanently degraded to a fraction of its bandwidth.
-    /// Like [`ExecError::LinkLost`], the compiled plan's timing model is
-    /// stale; rebuild on [`neon_sys::Backend::with_degraded_link`].
-    LinkDegraded {
-        /// One endpoint of the degraded wire.
-        src: DeviceId,
-        /// The other endpoint.
-        dst: DeviceId,
-        /// Remaining bandwidth fraction in `(0, 1]`.
-        factor: f64,
-        /// Logical iteration at whose start the degrade was detected.
+    /// A permanent fault (device loss, link loss or link degrade) fired at
+    /// an iteration boundary. The hardware the plan was compiled for no
+    /// longer exists, so every subsequent execution fails the same way
+    /// until the caller rebuilds on the healed backend
+    /// ([`crate::recovery::heal_backend`]).
+    Permanent {
+        /// What failed.
+        fault: PermanentFault,
+        /// Logical iteration at whose start the fault was detected.
         iteration: u64,
     },
     /// A compute node carries no iteration space.
@@ -215,31 +187,9 @@ impl std::fmt::Display for ExecError {
                  (iteration {iteration}, {attempts} attempts); roll back required",
                 device.0
             ),
-            ExecError::DeviceLost { device, iteration } => {
-                write!(f, "device {} lost at iteration {iteration}", device.0)
-            }
-            ExecError::LinkLost {
-                src,
-                dst,
-                iteration,
-            } => write!(
+            ExecError::Permanent { fault, iteration } => write!(
                 f,
-                "link {}<->{} lost at iteration {iteration}; recompile on the \
-                 degraded topology",
-                src.0, dst.0
-            ),
-            ExecError::LinkDegraded {
-                src,
-                dst,
-                factor,
-                iteration,
-            } => write!(
-                f,
-                "link {}<->{} degraded to {:.0}% bandwidth at iteration \
-                 {iteration}; recompile on the degraded topology",
-                src.0,
-                dst.0,
-                factor * 100.0
+                "{fault} at iteration {iteration}; rebuild on the healed backend"
             ),
             ExecError::MissingIterationSpace { node } => {
                 write!(f, "compute node '{node}' has no iteration space")
@@ -289,13 +239,6 @@ pub struct ExecReport {
     pub halo_rounds: u64,
     /// Number of executions aggregated.
     pub executions: u64,
-    /// Fault events injected during these executions (transient specs
-    /// fired plus device losses).
-    pub faults_injected: u64,
-    /// Transient faults absorbed by retry (no rollback needed).
-    pub faults_recovered: u64,
-    /// Failed attempts that were re-tried.
-    pub retries: u64,
 }
 
 impl ExecReport {
@@ -312,9 +255,6 @@ impl ExecReport {
         self.redundant_flops += other.redundant_flops;
         self.halo_rounds += other.halo_rounds;
         self.executions += other.executions;
-        self.faults_injected += other.faults_injected;
-        self.faults_recovered += other.faults_recovered;
-        self.retries += other.retries;
     }
 
     /// Average makespan per execution.
@@ -466,8 +406,8 @@ pub struct Executor {
     /// are observed inside `enqueue_from`; transfer faults at halo nodes).
     injector: Option<Arc<FaultInjector>>,
     /// Logical solver iteration of the *next* execution — the coordinate
-    /// fault plans target. Advanced by each successful execution; a
-    /// resilient runner rewinds it on rollback.
+    /// fault plans target. Advanced by each successful execution; the
+    /// recovery supervisor rewinds it on rollback.
     logical_iteration: u64,
     /// Graph node at which a [`FaultSiteKind::Link`] escape fired during
     /// the timing replay: link faults are observed inside the collective
@@ -699,15 +639,9 @@ impl Executor {
         self.injector = Some(injector);
     }
 
-    /// Remove the installed fault plan (executions run clean again).
-    pub fn clear_fault_plan(&mut self) {
-        self.queue.set_fault_injector(None);
-        self.injector = None;
-    }
-
-    /// The installed fault injector, if any.
-    pub fn fault_injector(&self) -> Option<&Arc<FaultInjector>> {
-        self.injector.as_ref()
+    /// The backend the plan runs on.
+    pub fn backend(&self) -> &Backend {
+        &self.backend
     }
 
     /// Lifetime fault counters (zero without an installed plan).
@@ -719,8 +653,8 @@ impl Executor {
     }
 
     /// Set the logical iteration the next execution runs as (the
-    /// coordinate fault plans target). Resilient runners rewind this after
-    /// a rollback so the replayed iterations keep their original numbers.
+    /// coordinate fault plans target). The recovery supervisor rewinds
+    /// this on rollback so replayed iterations keep their original numbers.
     pub fn set_logical_iteration(&mut self, iteration: u64) {
         self.logical_iteration = iteration;
     }
@@ -772,36 +706,20 @@ impl Executor {
     /// [`Executor::execute`], reporting failures as [`ExecError`].
     ///
     /// With a fault plan installed, recovered transients show up only as
-    /// extra virtual time and report counters. A fault that escapes retry
-    /// aborts the functional replay exactly at the faulted operation —
-    /// earlier nodes of the iteration have already mutated data, so the
-    /// caller must restore a checkpoint before continuing. A scheduled
-    /// device loss fails every execution from its iteration on.
+    /// extra virtual time and in [`Executor::fault_stats`]. A fault that
+    /// escapes retry aborts the functional replay exactly at the faulted
+    /// operation — earlier nodes of the iteration have already mutated
+    /// data, so the caller must restore a checkpoint before continuing. A
+    /// scheduled device loss fails every execution from its iteration on.
     pub fn try_execute(&mut self) -> Result<ExecReport, ExecError> {
         // Clone the Arc so plan data can be borrowed by index while the
         // queue (and scratch) are mutated — nothing inside is copied.
         let plan = Arc::clone(&self.plan);
         let t0 = self.queue.makespan();
         let iteration = self.logical_iteration;
-        let stats_before = self.injector.as_ref().map(|i| i.stats());
         if let Some(inj) = &self.injector {
             if let Err(fault) = inj.begin_iteration(iteration) {
-                return Err(match fault {
-                    PermanentFault::DeviceLoss(device) => {
-                        ExecError::DeviceLost { device, iteration }
-                    }
-                    PermanentFault::LinkLoss(src, dst) => ExecError::LinkLost {
-                        src,
-                        dst,
-                        iteration,
-                    },
-                    PermanentFault::LinkDegrade(src, dst, factor) => ExecError::LinkDegraded {
-                        src,
-                        dst,
-                        factor,
-                        iteration,
-                    },
-                });
+                return Err(ExecError::Permanent { fault, iteration });
             }
         }
         self.escape_node = None;
@@ -822,12 +740,6 @@ impl Executor {
         // measure cleanly (a zero-cost barrier on the virtual clock).
         let end = self.queue.sync_all();
         report.makespan = end - t0;
-        if let Some(before) = stats_before {
-            let after = self.fault_stats();
-            report.faults_injected = after.injected - before.injected;
-            report.faults_recovered = after.recovered - before.recovered;
-            report.retries = after.retries - before.retries;
-        }
         if self.queue.trace().is_some() {
             let topo = self.backend.topology();
             let stats: Vec<(String, f64, u64)> = (0..topo.num_link_resources())
@@ -1328,7 +1240,6 @@ impl Executor {
     fn replay_functional(&mut self, plan: &CompiledPlan) -> Result<(), ExecError> {
         match self.functional_mode {
             FunctionalMode::Serial => self.replay_functional_serial(plan),
-            FunctionalMode::SpawnPerLaunch => self.replay_functional_spawn(plan),
             FunctionalMode::Parallel => {
                 if self.parallel_halo_ok {
                     self.replay_functional_parallel(plan)
@@ -1370,41 +1281,6 @@ impl Executor {
                     // host-staged merge regardless of algorithm.
                     container.reduce_finalize();
                 }
-            }
-        }
-        Ok(())
-    }
-
-    /// Historical replay: task order, but each launch spawns a fresh
-    /// thread scope over the devices.
-    fn replay_functional_spawn(&self, plan: &CompiledPlan) -> Result<(), ExecError> {
-        let ndev = self.backend.num_devices();
-        for task in &plan.schedule().tasks {
-            match &plan.graph().node(task.node).kind {
-                NodeKind::Compute {
-                    container,
-                    view,
-                    reduce_init,
-                    reduce_finalize,
-                } => {
-                    if *reduce_init {
-                        container.reduce_init();
-                    }
-                    let view = *view;
-                    // Borrow the container into the per-device threads
-                    // (`Container: Sync`) — no per-launch clones.
-                    std::thread::scope(|s| {
-                        for d in 0..ndev {
-                            s.spawn(move || container.run_device(DeviceId(d), view));
-                        }
-                    });
-                    if *reduce_finalize {
-                        container.reduce_finalize();
-                    }
-                }
-                NodeKind::Halo { exchange } => exchange.execute(),
-                NodeKind::Host { container } => container.run_host(),
-                NodeKind::Collective { container, .. } => container.reduce_finalize(),
             }
         }
         Ok(())
@@ -1596,19 +1472,6 @@ impl Executor {
             }
         }
         total
-    }
-
-    /// [`Executor::execute_iters`], stopping at the first failure.
-    pub fn try_execute_iters(&mut self, n: usize) -> Result<ExecReport, ExecError> {
-        let mut total = ExecReport::default();
-        self.iter_makespans.clear();
-        self.iter_makespans.reserve(n);
-        for _ in 0..n {
-            let report = self.try_execute()?;
-            self.iter_makespans.push(report.makespan);
-            total.accumulate(report);
-        }
-        Ok(total)
     }
 }
 

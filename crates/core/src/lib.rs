@@ -21,6 +21,8 @@
 //!   conflict ordering, halo precedence, schedule/event soundness);
 //! * [`plan`] — immutable [`CompiledPlan`]s and the process-wide plan
 //!   cache keyed by sequence signature × backend fingerprint × options;
+//! * [`recovery`] — the one recovery supervisor: retry, rollback, link
+//!   repair and eviction for anything [`Recoverable`];
 //! * [`exec`] — the executor: virtual-clock timing replay plus functional
 //!   execution of the kernels on real partition data, borrowing plan data
 //!   by index.
@@ -51,6 +53,7 @@ pub mod multigpu;
 pub mod occ;
 pub mod pass;
 pub mod plan;
+pub mod recovery;
 pub mod schedule;
 pub mod skeleton;
 pub mod temporal;
@@ -80,7 +83,8 @@ pub use plan::{
     clear_plan_cache, invalidate_backend, plan_cache_capacity, plan_cache_stats,
     set_plan_cache_capacity, CacheStats, CompiledPlan, PlanKey, DEFAULT_PLAN_CACHE_CAPACITY,
 };
+pub use recovery::{heal_backend, Recoverable, RecoveryError, RecoveryReport, Supervisor};
 pub use schedule::{build_schedule, build_schedule_opts, Schedule, Task};
-pub use skeleton::{ResilienceOptions, ResilientError, ResilientRun, Skeleton, SkeletonOptions};
+pub use skeleton::{ResilienceOptions, Skeleton, SkeletonOptions};
 pub use temporal::TemporalFusePass;
 pub use validate::{validate_graph, validate_ir, validate_schedule, ValidationError};

@@ -60,8 +60,8 @@ pub struct ResilienceOptions {
     /// Base backoff before the first re-attempt, in virtual µs; doubles
     /// per retry. Must be finite and non-negative.
     pub backoff_us: f64,
-    /// A checkpoint is captured every this many iterations in
-    /// [`Skeleton::run_iters_resilient`]. Must be at least 1.
+    /// A checkpoint is captured every this many iterations by the
+    /// [`crate::recovery::Supervisor`]. Must be at least 1.
     pub checkpoint_interval: u32,
 }
 
@@ -93,7 +93,8 @@ impl ResilienceOptions {
         }
     }
 
-    fn validate(&self) -> Result<(), CompileError> {
+    /// Check the invariants documented on each field.
+    pub fn validate(&self) -> Result<(), CompileError> {
         if self.max_attempts == 0 {
             return Err(CompileError::InvalidOptions {
                 reason: "resilience.max_attempts must be at least 1 \
@@ -137,10 +138,9 @@ pub struct SkeletonOptions {
     /// memory (page faults serialize with the consuming kernels).
     pub halo_policy: HaloPolicy,
     /// How the functional replay parallelizes across devices: serial
-    /// reference, a thread scope per launch, or the event-driven
-    /// persistent worker pool (default). A runtime knob — it never
-    /// changes the compiled plan, so it is excluded from the plan-cache
-    /// key.
+    /// reference or the event-driven persistent worker pool (default). A
+    /// runtime knob — it never changes the compiled plan, so it is
+    /// excluded from the plan-cache key.
     pub functional_mode: FunctionalMode,
     /// Record an execution trace (timeline spans).
     pub trace: bool,
@@ -378,9 +378,8 @@ impl Skeleton {
 
     /// Execute the sequence once.
     pub fn run(&mut self) -> ExecReport {
-        let r = self.executor.execute();
-        self.observe_health();
-        r
+        self.try_run()
+            .unwrap_or_else(|e| panic!("execution failed: {e}"))
     }
 
     /// Execute the sequence `n` times (an iterative solver's outer loop).
@@ -411,11 +410,6 @@ impl Skeleton {
     /// The underlying executor (virtual clock, fault injector, counters).
     pub fn executor(&self) -> &Executor {
         &self.executor
-    }
-
-    /// Mutable access to the underlying executor.
-    pub fn executor_mut(&mut self) -> &mut Executor {
-        &mut self.executor
     }
 
     /// Zero the virtual clock's cumulative utilization counters (kernel
@@ -515,100 +509,4 @@ impl Skeleton {
     pub fn capture_checkpoint(&self, iteration: u64) -> Checkpoint {
         Checkpoint::capture(iteration, &self.state_handles())
     }
-
-    /// Run iterations `start .. start + n` with periodic checkpoints and
-    /// automatic rollback.
-    ///
-    /// A transient fault that escapes retry restores the last checkpoint
-    /// and replays from it (fault specs are consumed once, so the replay
-    /// passes clean — and because recovered faults have no data effects,
-    /// the final state is bit-identical to a fault-free run). A device
-    /// loss cannot be healed at this level: the last checkpoint is
-    /// restored and the error is returned so the caller can rebuild on
-    /// the surviving devices and resume from `completed`.
-    pub fn run_iters_resilient(
-        &mut self,
-        start: u64,
-        n: usize,
-    ) -> Result<ResilientRun, Box<ResilientError>> {
-        let interval = u64::from(self.options.resilience.checkpoint_interval.max(1));
-        let handles = self.state_handles();
-        let mut checkpoint = Checkpoint::capture(start, &handles);
-        let mut report = ExecReport::default();
-        let mut rollbacks = 0u64;
-        let mut replayed = 0u64;
-        let end = start + n as u64;
-        let mut i = start;
-        while i < end {
-            self.executor.set_logical_iteration(i);
-            match self.executor.try_execute() {
-                Ok(r) => {
-                    report.accumulate(r);
-                    self.observe_health();
-                    i += 1;
-                    if (i - start).is_multiple_of(interval) && i < end {
-                        checkpoint = Checkpoint::capture(i, &handles);
-                    }
-                }
-                Err(ExecError::TransientFaultEscaped { .. }) => {
-                    checkpoint.restore();
-                    rollbacks += 1;
-                    replayed += i - checkpoint.iteration();
-                    i = checkpoint.iteration();
-                }
-                Err(error) => {
-                    checkpoint.restore();
-                    let completed = checkpoint.iteration();
-                    return Err(Box::new(ResilientError {
-                        error,
-                        checkpoint,
-                        completed,
-                    }));
-                }
-            }
-        }
-        Ok(ResilientRun {
-            report,
-            rollbacks,
-            replayed,
-        })
-    }
 }
-
-/// Outcome of a completed [`Skeleton::run_iters_resilient`].
-#[derive(Debug)]
-pub struct ResilientRun {
-    /// Aggregated report over every *successful* iteration (aborted
-    /// iterations contribute no report; their virtual time still advanced
-    /// the clock, which is how recovery overhead shows up in makespans).
-    pub report: ExecReport,
-    /// Checkpoint restores performed.
-    pub rollbacks: u64,
-    /// Successful iterations that had to be re-executed after rollbacks.
-    pub replayed: u64,
-}
-
-/// A failure [`Skeleton::run_iters_resilient`] could not heal. The data
-/// objects have already been restored to `checkpoint`'s state.
-#[derive(Debug)]
-pub struct ResilientError {
-    /// The unhealable failure (device loss, or a structural error).
-    pub error: ExecError,
-    /// The checkpoint that was restored (its `iteration()` is the first
-    /// iteration to re-run after the caller recovers).
-    pub checkpoint: Checkpoint,
-    /// Iterations committed before the failure.
-    pub completed: u64,
-}
-
-impl std::fmt::Display for ResilientError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} ({} iterations committed, state rolled back)",
-            self.error, self.completed
-        )
-    }
-}
-
-impl std::error::Error for ResilientError {}

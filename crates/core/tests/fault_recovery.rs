@@ -1,17 +1,18 @@
-//! Deterministic tests of the self-healing executor: structured errors
-//! when recovery is off, retry counters and trace spans when it is on,
-//! checkpoint rollback, device loss surfacing, options validation, and
+//! Deterministic tests of the self-healing executor driven by the
+//! recovery supervisor on a raw skeleton: structured errors when recovery
+//! is off, retry counters and trace spans when it is on, checkpoint
+//! rollback, device loss surfacing, options validation, and
 //! backend-scoped plan-cache invalidation.
 
 use neon_core::{
-    invalidate_backend, CompileError, ExecError, FaultPlan, OccLevel, ResilienceOptions, Skeleton,
-    SkeletonOptions,
+    invalidate_backend, CompileError, ExecError, FaultPlan, OccLevel, Recoverable,
+    ResilienceOptions, Skeleton, SkeletonOptions, Supervisor,
 };
 use neon_domain::{
     ops, Container, DenseGrid, Dim3, Field, FieldStencil as _, FieldWrite as _, GridLike,
     MemLayout, ScalarSet, Stencil, StorageMode,
 };
-use neon_sys::{Backend, DeviceId, SpanKind};
+use neon_sys::{Backend, DeviceId, NeonSysError, PermanentFault, SpanKind};
 
 struct Fixture {
     backend: Backend,
@@ -106,7 +107,7 @@ fn recovery_disabled_fault_is_structured_error_not_panic() {
 #[test]
 fn recovered_faults_populate_counters_and_trace() {
     let f = fixture(4);
-    let mut sk = Skeleton::sequence(
+    let sk = Skeleton::sequence(
         &f.backend,
         "counters",
         f.containers.clone(),
@@ -118,23 +119,23 @@ fn recovered_faults_populate_counters_and_trace() {
             })
         },
     );
-    sk.install_fault_plan(
+    let mut sup = Supervisor::new(sk);
+    sup.target_mut().install_fault_plan(
         FaultPlan::none()
             .with_kernel_fault(0, DeviceId(1), 0, 2)
             .with_transfer_fault(1, DeviceId(3), 0, 1),
     );
-    let run = sk.run_iters_resilient(0, 3).expect("faults recover");
-    assert_eq!(run.report.faults_injected, 2);
-    assert_eq!(run.report.faults_recovered, 2);
+    sup.run(3).expect("faults recover");
+    let report = sup.report();
+    assert_eq!(report.faults.injected, 2);
+    assert_eq!(report.faults.recovered, 2);
     assert_eq!(
-        run.report.retries, 3,
+        report.faults.retries, 3,
         "2 failed kernel attempts + 1 transfer"
     );
-    assert_eq!(run.rollbacks, 0);
-    let stats = sk.fault_stats();
-    assert_eq!(stats.injected, 2);
-    assert_eq!(stats.escaped, 0);
-    let trace = sk.take_trace().expect("trace enabled");
+    assert_eq!(report.faults.escaped, 0);
+    assert_eq!(report.rollbacks, 0);
+    let trace = sup.target_mut().take_trace().expect("trace enabled");
     let fault_spans = trace
         .spans()
         .iter()
@@ -153,34 +154,39 @@ fn escaped_fault_rolls_back_to_bit_identical_state() {
     };
 
     let clean = fixture(4);
-    let mut clean_sk = Skeleton::sequence(
+    let clean_sk = Skeleton::sequence(
         &clean.backend,
         "rollback",
         clean.containers.clone(),
         options(resilience),
     );
-    clean_sk.run_iters_resilient(0, 5).expect("clean run");
+    Supervisor::new(clean_sk).run(5).expect("clean run");
 
     let faulty = fixture(4);
-    let mut faulty_sk = Skeleton::sequence(
+    let faulty_sk = Skeleton::sequence(
         &faulty.backend,
         "rollback",
         faulty.containers.clone(),
         options(resilience),
     );
+    let mut sup = Supervisor::new(faulty_sk);
     // fails = 5 >= max_attempts = 2: escapes retry, forces a rollback off
     // the checkpoint boundary (iteration 3, checkpoints at 0/2/4).
-    faulty_sk.install_fault_plan(FaultPlan::none().with_kernel_fault(3, DeviceId(0), 1, 5));
-    let run = faulty_sk.run_iters_resilient(0, 5).expect("must heal");
-    assert_eq!(run.rollbacks, 1);
-    assert_eq!(run.replayed, 1, "iteration 2 re-ran after restoring");
+    sup.target_mut()
+        .install_fault_plan(FaultPlan::none().with_kernel_fault(3, DeviceId(0), 1, 5));
+    sup.run(5).expect("must heal");
+    let report = sup.report();
+    assert_eq!(report.rollbacks, 1);
+    assert_eq!(report.replayed, 1, "iteration 2 re-ran after restoring");
+    assert_eq!(report.faults.escaped, 1);
+    assert_eq!(report.exec.executions, 6, "5 committed + 1 replayed");
     assert_eq!(state_bits(&faulty), state_bits(&clean));
 }
 
 #[test]
 fn device_loss_surfaces_with_restored_checkpoint() {
     let f = fixture(4);
-    let mut sk = Skeleton::sequence(
+    let sk = Skeleton::sequence(
         &f.backend,
         "loss",
         f.containers.clone(),
@@ -190,19 +196,43 @@ fn device_loss_surfaces_with_restored_checkpoint() {
             ..ResilienceOptions::default()
         }),
     );
-    sk.install_fault_plan(FaultPlan::none().with_device_loss(3, DeviceId(1)));
-    let err = *sk
-        .run_iters_resilient(0, 6)
-        .expect_err("loss is unhealable here");
-    assert!(matches!(
-        err.error,
-        ExecError::DeviceLost { device, iteration } if device == DeviceId(1) && iteration == 3
-    ));
+    // A cached plan for the same backend: a failed heal must not purge it.
+    let cached = SkeletonOptions {
+        cache: true,
+        ..options(ResilienceOptions::default())
+    };
+    Skeleton::sequence(&f.backend, "loss-probe", f.containers.clone(), cached);
+    let mut sup = Supervisor::new(sk);
+    sup.target_mut()
+        .install_fault_plan(FaultPlan::none().with_device_loss(3, DeviceId(1)));
+    let err = sup.run(6).expect_err("a skeleton cannot rebuild itself");
     assert_eq!(
-        err.completed, 2,
+        err.error,
+        ExecError::Permanent {
+            fault: PermanentFault::DeviceLoss(DeviceId(1)),
+            iteration: 3
+        }
+    );
+    assert!(
+        matches!(err.heal, Some(NeonSysError::InvalidConfig { .. })),
+        "the heal failure is reported: {err}"
+    );
+    let probe = Skeleton::sequence(&f.backend, "loss-probe", f.containers.clone(), cached);
+    assert!(
+        probe.compiled_from_cache(),
+        "the failed heal left the backend's cached plans alone"
+    );
+    assert_eq!(
+        sup.target().iteration(),
+        2,
         "rolled back to the iteration-2 checkpoint"
     );
-    assert_eq!(err.checkpoint.iteration(), 2);
+    // The partial report survives the error: iterations 0..3 ran, 2 stay
+    // committed and iteration 2's run was discarded by the restore.
+    let report = sup.report();
+    assert_eq!(report.exec.executions, 3);
+    assert_eq!((report.committed, report.replayed), (2, 1));
+    assert_eq!(report.evictions, 0);
 
     // The restored state is exactly a clean 2-iteration run.
     let clean = fixture(4);

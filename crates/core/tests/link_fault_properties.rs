@@ -6,7 +6,7 @@
 //! OCC level. The virtual clock pays for retries; the numerics must
 //! never notice them.
 
-use neon_core::{FaultPlan, OccLevel, ResilienceOptions, Skeleton, SkeletonOptions};
+use neon_core::{FaultPlan, OccLevel, ResilienceOptions, Skeleton, SkeletonOptions, Supervisor};
 use neon_domain::{
     ops, Container, DenseGrid, Dim3, Field, FieldStencil as _, FieldWrite as _, GridLike,
     MemLayout, ScalarSet, Stencil, StorageMode,
@@ -107,7 +107,7 @@ fn run_case(
 ) -> Vec<u64> {
     let s = setup(n_dev);
     let seq = build_sequence(&s, ops_list);
-    let mut sk = Skeleton::sequence(
+    let sk = Skeleton::sequence(
         &s.backend,
         "link-prop",
         seq,
@@ -122,17 +122,15 @@ fn run_case(
             ..Default::default()
         },
     );
-    let faulted = plan.is_some();
+    let mut sup = Supervisor::new(sk);
     if let Some(p) = plan {
-        sk.install_fault_plan(p);
+        sup.target_mut().install_fault_plan(p);
     }
-    let run = sk
-        .run_iters_resilient(0, iters as usize)
+    sup.run(iters)
         .expect("transient-only plans must always heal");
-    if faulted {
-        assert_eq!(run.report.faults_injected, run.report.faults_recovered);
-        assert_eq!(sk.fault_stats().escaped, 0, "no transient may escape");
-    }
+    let faults = sup.report().faults;
+    assert_eq!(faults.injected, faults.recovered);
+    assert_eq!(faults.escaped, 0, "no transient may escape");
     let mut bits = Vec::new();
     s.x.for_each(|_, _, _, _, v| bits.push(v.to_bits()));
     s.y.for_each(|_, _, _, _, v| bits.push(v.to_bits()));

@@ -14,21 +14,23 @@
 //! job's results are bit-identical to a solo run of the same spec on a
 //! same-size backend.
 //!
-//! A scheduled [`DeviceLoss`] marks a fleet device dead at its virtual
-//! time: in-flight quanta whose subset contains the device are aborted and
-//! rolled back to the checkpoint captured at their quantum start, and every
-//! live job pinned to the device is re-planned — survivors keep their
-//! subset slots, a spare alive device replaces the dead one when the fleet
-//! still has enough devices, otherwise the subset shrinks — and migrated
-//! through logical coordinates. Plans compiled for equal-size subsets stay
-//! valid (the fingerprint hashes device *models*, not identities), so
-//! re-planning is usually a plan-cache hit.
+//! A scheduled [`DeviceLoss`] or [`LinkFault`] takes one fault path at its
+//! virtual time: the lost device is marked dead, or the fleet interconnect
+//! is healed through [`neon_core::heal_backend`]; in-flight quanta the
+//! fault hits are aborted and rolled back to the checkpoint captured at
+//! their quantum start; and every waiting job pinned across the fault is
+//! re-planned and rebuilt through logical coordinates. Re-pinning after a
+//! device loss is scheduler policy — survivors keep their subset slots, a
+//! spare alive device replaces the dead one when the fleet still has
+//! enough devices, otherwise the subset shrinks. Plans compiled for
+//! equal-size subsets stay valid (the fingerprint hashes device *models*,
+//! not identities), so re-planning is usually a plan-cache hit.
 
 use std::time::Instant;
 
 use neon_apps::{JobSpec, SolverJob};
 use neon_comm::{choose, Algorithm, CollectiveKind};
-use neon_core::{OccLevel, SkeletonOptions};
+use neon_core::{heal_backend, invalidate_backend, OccLevel, PermanentFault, SkeletonOptions};
 use neon_set::Checkpoint;
 use neon_sys::{Backend, CounterSnapshot, DeviceId, Result, SimTime};
 
@@ -94,6 +96,31 @@ fn collective_route(spec: &JobSpec, backend: &Backend) -> Algorithm {
     choose(CollectiveKind::AllReduce, field_bytes, backend.topology())
 }
 
+/// A scheduled fleet fault, in fleet device indices.
+#[derive(Debug, Clone, Copy)]
+enum FleetFault {
+    Device(DeviceLoss),
+    Link(LinkFault),
+}
+
+impl FleetFault {
+    fn at_us(&self) -> f64 {
+        match self {
+            FleetFault::Device(l) => l.at_us,
+            FleetFault::Link(f) => f.at_us,
+        }
+    }
+
+    /// Whether work pinned to `devices` is hit: it ran on the lost device,
+    /// or it straddled both endpoints of the faulted wire.
+    fn hits(&self, devices: &[usize]) -> bool {
+        match self {
+            FleetFault::Device(l) => devices.contains(&l.device),
+            FleetFault::Link(f) => devices.contains(&f.src) && devices.contains(&f.dst),
+        }
+    }
+}
+
 /// One in-flight quantum.
 struct Active {
     widx: usize,
@@ -102,8 +129,8 @@ struct Active {
     end: f64,
     iters_delta: u64,
     counters_before: CounterSnapshot,
-    /// Captured at quantum start iff a device loss is armed for one of the
-    /// quantum's devices; the abort path restores it.
+    /// Captured at quantum start iff a pending fault hits the quantum's
+    /// devices; the abort path restores it.
     cp: Option<Checkpoint>,
 }
 
@@ -277,8 +304,13 @@ impl Server {
         let mut shed = 0u64;
         let mut device_losses = 0u64;
         let mut link_faults = 0u64;
-        let mut loss_pending = self.cfg.device_loss;
-        let mut link_pending = self.cfg.link_fault;
+        let mut pending: Vec<FleetFault> = self
+            .cfg
+            .device_loss
+            .map(FleetFault::Device)
+            .into_iter()
+            .chain(self.cfg.link_fault.map(FleetFault::Link))
+            .collect();
         let mut sched_wall = std::time::Duration::ZERO;
         let mut makespan: f64 = 0.0;
 
@@ -318,46 +350,29 @@ impl Server {
                 waiting.push(widx, tenant, jobs[widx].seq);
             }
 
-            // 2. Fire a due device loss (after completions at strictly
-            //    earlier times were handled in previous rounds; quanta
-            //    ending exactly at the loss time commit below first only
-            //    if they were already due — a tie goes to the loss, which
-            //    is the conservative choice: the quantum aborts).
-            if let Some(loss) = loss_pending {
-                if loss.at_us <= clock + EPS {
-                    loss_pending = None;
-                    self.process_loss(
-                        loss,
-                        clock.min(loss.at_us.max(0.0)),
-                        &fleet,
-                        &mut jobs,
-                        &mut accounts,
-                        &mut active,
-                        &mut waiting,
-                        &mut free_at,
-                        &mut dead,
-                    );
-                    device_losses += 1;
-                }
-            }
-
-            // 2b. Fire a due link fault: swap in the degraded fleet, abort
-            //     in-flight quanta that straddled the wire, re-plan pinned
-            //     jobs (same tie-to-the-loss semantics as a device loss).
-            if let Some(fault) = link_pending {
-                if fault.at_us <= clock + EPS {
-                    link_pending = None;
-                    self.process_link_fault(
-                        fault,
-                        clock.min(fault.at_us.max(0.0)),
-                        &mut fleet,
-                        &mut jobs,
-                        &mut accounts,
-                        &mut active,
-                        &mut waiting,
-                        &mut free_at,
-                    );
-                    link_faults += 1;
+            // 2. Fire due faults in configuration order (a device loss
+            //    before a link fault due in the same round). Quanta ending
+            //    exactly at the fault time commit below only if they were
+            //    already due — a tie goes to the fault, which is the
+            //    conservative choice: the quantum aborts.
+            let (due, later): (Vec<FleetFault>, Vec<FleetFault>) =
+                pending.into_iter().partition(|f| f.at_us() <= clock + EPS);
+            pending = later;
+            for fault in due {
+                self.process_fault(
+                    fault,
+                    clock.min(fault.at_us().max(0.0)),
+                    &mut fleet,
+                    &mut jobs,
+                    &mut accounts,
+                    &mut active,
+                    &mut waiting,
+                    &mut free_at,
+                    &mut dead,
+                );
+                match fault {
+                    FleetFault::Device(_) => device_losses += 1,
+                    FleetFault::Link(_) => link_faults += 1,
                 }
             }
 
@@ -402,8 +417,7 @@ impl Server {
                 &mut free_at,
                 &dead,
                 &vtime,
-                loss_pending,
-                link_pending,
+                &pending,
                 &mut sched_wall,
             ) {}
 
@@ -417,11 +431,8 @@ impl Server {
             if next_arrival < order.len() {
                 t = t.min(requests[order[next_arrival]].arrival_us);
             }
-            if let Some(loss) = loss_pending {
-                t = t.min(loss.at_us);
-            }
-            if let Some(fault) = link_pending {
-                t = t.min(fault.at_us);
+            for fault in &pending {
+                t = t.min(fault.at_us());
             }
             for a in &active {
                 t = t.min(a.end);
@@ -489,8 +500,7 @@ impl Server {
         free_at: &mut [f64],
         dead: &[bool],
         vtime: &[f64],
-        loss_pending: Option<DeviceLoss>,
-        link_pending: Option<LinkFault>,
+        pending: &[FleetFault],
         sched_wall: &mut std::time::Duration,
     ) -> bool {
         let sched_start = Instant::now();
@@ -587,16 +597,9 @@ impl Server {
         };
         let js = &mut jobs[widx];
         let job = js.job.as_mut().expect("built above");
-        // Checkpoint iff an armed fault could abort this quantum: a device
-        // loss targeting one of its devices, or a link fault both of whose
-        // endpoints the quantum straddles — the abort path rolls back to
-        // the quantum start.
-        let loss_armed = matches!(loss_pending, Some(l) if devices.contains(&l.device));
-        let link_armed = matches!(
-            link_pending,
-            Some(f) if devices.contains(&f.src) && devices.contains(&f.dst)
-        );
-        let cp = if loss_armed || link_armed {
+        // Checkpoint iff a pending fault could abort this quantum — the
+        // abort path rolls back to the quantum start.
+        let cp = if pending.iter().any(|f| f.hits(&devices)) {
             Some(job.capture())
         } else {
             None
@@ -639,14 +642,17 @@ impl Server {
         true
     }
 
-    /// Mark a fleet device dead, abort in-flight quanta that used it, and
-    /// re-plan + migrate every live job pinned to it.
+    /// Apply one fleet fault: mark the lost device dead or heal the fleet
+    /// interconnect, abort the in-flight quanta the fault hits, and re-plan
+    /// every waiting job pinned across it. Jobs the fault does not hit keep
+    /// their plans (and plan-cache entries) untouched: a subset that never
+    /// contained the wire carves a topology the fault did not change.
     #[allow(clippy::too_many_arguments)]
-    fn process_loss(
+    fn process_fault(
         &self,
-        loss: DeviceLoss,
+        fault: FleetFault,
         at: f64,
-        fleet: &Backend,
+        fleet: &mut Backend,
         jobs: &mut [JobState],
         accounts: &mut [TenantAccount],
         active: &mut Vec<Active>,
@@ -654,26 +660,47 @@ impl Server {
         free_at: &mut [f64],
         dead: &mut [bool],
     ) {
-        let d0 = loss.device;
-        if d0 >= dead.len() || dead[d0] {
-            return;
+        let n = fleet.num_devices();
+        match fault {
+            FleetFault::Device(l) => {
+                if l.device >= n || dead[l.device] {
+                    return;
+                }
+                dead[l.device] = true;
+            }
+            FleetFault::Link(f) => {
+                let (s, d) = (DeviceId(f.src), DeviceId(f.dst));
+                let link = match f.factor {
+                    None => PermanentFault::LinkLoss(s, d),
+                    Some(factor) => PermanentFault::LinkDegrade(s, d, factor),
+                };
+                // Whole-fleet plans keyed on the healthy interconnect are
+                // dropped here; subset plans key on the *subset*
+                // fingerprint and are rebuilt below only when the subset
+                // actually contained the wire. A fault naming no valid
+                // wire is ignored.
+                let Ok(healed) = heal_backend(fleet, link) else {
+                    return;
+                };
+                invalidate_backend(fleet.fingerprint());
+                *fleet = healed;
+            }
         }
-        dead[d0] = true;
 
-        // Abort in-flight quanta whose subset contains the dead device:
-        // roll back to the quantum-start checkpoint, free the surviving
-        // devices at the loss time, charge the wasted device-time.
+        // Abort in-flight quanta the fault hits: roll back to the
+        // quantum-start checkpoint, free their surviving devices at the
+        // fault time, charge the wasted device-time.
         let mut i = 0;
         while i < active.len() {
-            if active[i].devices.contains(&d0) {
+            if fault.hits(&active[i].devices) {
                 let a = active.swap_remove(i);
                 let js = &mut jobs[a.widx];
-                let cp = a.cp.expect("loss was armed, checkpoint captured");
+                let cp = a.cp.expect("fault was armed, checkpoint captured");
                 js.job.as_mut().expect("active job is built").restore(&cp);
                 accounts[js.req.tenant].wasted_device_us +=
                     (at - a.start).max(0.0) * a.devices.len() as f64;
                 for &d in &a.devices {
-                    if d != d0 {
+                    if !dead[d] {
                         free_at[d] = at;
                     }
                 }
@@ -686,139 +713,68 @@ impl Server {
             }
         }
 
-        // Re-plan every live job pinned to the dead device: keep the
-        // surviving slots, top up with the least-loaded alive spares (same
-        // size if the fleet still has enough devices, else shrink), and
-        // migrate state through logical coordinates. Equal-size subsets
-        // share a backend fingerprint, so the rebuild is normally a
-        // plan-cache hit, not a fresh compile.
-        let alive_count = dead.iter().filter(|&&x| !x).count();
+        // Re-plan every waiting job the fault hits and rebuild it on the
+        // new subset backend. A device loss re-pins (scheduler policy, see
+        // `replacement_pins`) and is recorded as an eviction; a link fault
+        // keeps the pins, re-times every transfer and may flip the
+        // collective route, which is recorded.
         for js in jobs.iter_mut() {
             if js.phase != Phase::Waiting {
                 continue;
             }
             let Some(pinned) = &js.pinned else { continue };
-            if !pinned.contains(&d0) {
+            if !fault.hits(pinned) {
                 continue;
             }
-            let from_ndev = pinned.len();
-            let survivors: Vec<usize> = pinned.iter().copied().filter(|&d| d != d0).collect();
-            let size = from_ndev.min(alive_count).max(1);
-            let mut spares: Vec<usize> = (0..dead.len())
-                .filter(|&d| !dead[d] && !survivors.contains(&d))
-                .collect();
-            spares.sort_by(|&a, &b| free_at[a].partial_cmp(&free_at[b]).unwrap().then(a.cmp(&b)));
-            let mut new_pinned = survivors;
-            new_pinned.extend(spares.into_iter().take(size - new_pinned.len().min(size)));
-            new_pinned.sort_unstable();
-            new_pinned.truncate(size);
-
+            let new_pinned = match fault {
+                FleetFault::Device(l) => replacement_pins(pinned, l.device, dead, free_at),
+                FleetFault::Link(_) => pinned.clone(),
+            };
             let subset: Vec<DeviceId> = new_pinned.iter().map(|&d| DeviceId(d)).collect();
             let backend = fleet
                 .with_devices(&subset)
-                .expect("replacement subset is valid");
+                .expect("re-planned subset is valid");
             let job = js.job.as_mut().expect("pinned implies built");
-            job.migrate_to(&backend).expect("migration onto survivors");
-            js.route = Some(collective_route(&js.req.spec, &backend));
-            js.evictions.push(EvictionEvent {
-                at_iteration: job.completed(),
-                from_ndev,
-                to_ndev: new_pinned.len(),
-            });
+            job.rebuild(&backend)
+                .expect("rebuild onto the re-planned subset");
+            let route = collective_route(&js.req.spec, &backend);
+            if let FleetFault::Device(_) = fault {
+                js.evictions.push(EvictionEvent {
+                    at_iteration: job.completed(),
+                    from_ndev: pinned.len(),
+                    to_ndev: new_pinned.len(),
+                });
+            } else if let Some(from) = js.route.filter(|&r| r != route) {
+                js.route_changes.push(RouteChange {
+                    at_iteration: job.completed(),
+                    from,
+                    to: route,
+                });
+            }
+            js.route = Some(route);
             js.pinned = Some(new_pinned);
         }
     }
+}
 
-    /// Degrade the fleet interconnect, abort in-flight quanta that
-    /// straddled the faulted wire, and re-plan every live job whose pinned
-    /// subset spans both endpoints. Jobs touching at most one endpoint
-    /// carve a subset topology that never contained the wire, so their
-    /// plans — and plan-cache entries — stay valid untouched.
-    #[allow(clippy::too_many_arguments)]
-    fn process_link_fault(
-        &self,
-        fault: LinkFault,
-        at: f64,
-        fleet: &mut Backend,
-        jobs: &mut [JobState],
-        accounts: &mut [TenantAccount],
-        active: &mut Vec<Active>,
-        waiting: &mut WaitQueue,
-        free_at: &mut [f64],
-    ) {
-        let (s, d) = (fault.src, fault.dst);
-        if s >= fleet.num_devices() || d >= fleet.num_devices() || s == d {
-            return;
-        }
-        let old_fingerprint = fleet.fingerprint();
-        let degraded = match fault.factor {
-            None => fleet.without_link(DeviceId(s), DeviceId(d)),
-            Some(f) => fleet.with_degraded_link(DeviceId(s), DeviceId(d), f),
-        }
-        .expect("link fault endpoints validated above");
-        // Whole-fleet plans keyed on the healthy interconnect are stale;
-        // subset plans key on the *subset* fingerprint and are invalidated
-        // per job below only when the subset actually contained the wire.
-        neon_core::invalidate_backend(old_fingerprint);
-        *fleet = degraded;
-
-        // Abort in-flight quanta that straddled the wire: roll back to the
-        // quantum-start checkpoint, free their devices at the fault time,
-        // charge the wasted device-time.
-        let mut i = 0;
-        while i < active.len() {
-            if active[i].devices.contains(&s) && active[i].devices.contains(&d) {
-                let a = active.swap_remove(i);
-                let js = &mut jobs[a.widx];
-                let cp = a.cp.expect("link fault was armed, checkpoint captured");
-                js.job.as_mut().expect("active job is built").restore(&cp);
-                accounts[js.req.tenant].wasted_device_us +=
-                    (at - a.start).max(0.0) * a.devices.len() as f64;
-                for &dev in &a.devices {
-                    free_at[dev] = at;
-                }
-                let (tenant, seq) = (js.req.tenant, js.seq);
-                js.phase = Phase::Waiting;
-                js.ready_since = at;
-                waiting.push(a.widx, tenant, seq);
-            } else {
-                i += 1;
-            }
-        }
-
-        // Re-plan every live job pinned across both endpoints: same
-        // devices (nothing died), fresh subset backend carved from the
-        // degraded fleet. The subset fingerprint changed, so the rebuild
-        // recompiles, re-times every transfer, and re-routes collectives;
-        // a route that relied on the wire flips and is recorded.
-        for js in jobs.iter_mut() {
-            if js.phase != Phase::Waiting {
-                continue;
-            }
-            let Some(pinned) = &js.pinned else { continue };
-            if !pinned.contains(&s) || !pinned.contains(&d) {
-                continue;
-            }
-            let subset: Vec<DeviceId> = pinned.iter().map(|&dev| DeviceId(dev)).collect();
-            let backend = fleet
-                .with_devices(&subset)
-                .expect("pinned subset is valid on the degraded fleet");
-            let job = js.job.as_mut().expect("pinned implies built");
-            job.migrate_to(&backend)
-                .expect("same-size migration onto the degraded subset");
-            let new_route = collective_route(&js.req.spec, &backend);
-            if let Some(old_route) = js.route {
-                if old_route != new_route {
-                    js.route_changes.push(RouteChange {
-                        at_iteration: job.completed(),
-                        from: old_route,
-                        to: new_route,
-                    });
-                }
-            }
-            js.route = Some(new_route);
-        }
-    }
+/// The subset a job pinned to the lost device `lost` moves to: it keeps its
+/// surviving slots and tops up with the least-loaded alive spares — same
+/// size while the fleet still has enough devices, smaller otherwise.
+/// Equal-size subsets share a backend fingerprint, so the rebuild is
+/// normally a plan-cache hit, not a fresh compile.
+fn replacement_pins(pinned: &[usize], lost: usize, dead: &[bool], free_at: &[f64]) -> Vec<usize> {
+    let alive_count = dead.iter().filter(|&&x| !x).count();
+    let size = pinned.len().min(alive_count).max(1);
+    let survivors: Vec<usize> = pinned.iter().copied().filter(|&d| d != lost).collect();
+    let mut spares: Vec<usize> = (0..dead.len())
+        .filter(|&d| !dead[d] && !survivors.contains(&d))
+        .collect();
+    spares.sort_by(|&a, &b| free_at[a].partial_cmp(&free_at[b]).unwrap().then(a.cmp(&b)));
+    let mut new_pinned = survivors;
+    new_pinned.extend(spares.into_iter().take(size - new_pinned.len().min(size)));
+    new_pinned.sort_unstable();
+    new_pinned.truncate(size);
+    new_pinned
 }
 
 /// Replay one job solo — same spec, a subset of `ndev` devices, the same
@@ -842,7 +798,7 @@ pub fn solo_run_bits(
         let sub: Vec<DeviceId> = (0..ev.to_ndev.clamp(1, fleet.num_devices()))
             .map(DeviceId)
             .collect();
-        job.migrate_to(&fleet.with_devices(&sub)?)?;
+        job.rebuild(&fleet.with_devices(&sub)?)?;
     }
     job.advance(job.total().saturating_sub(job.completed()));
     Ok(job.result_bits())

@@ -378,6 +378,27 @@ pub struct FaultStats {
     pub escaped: u64,
 }
 
+impl std::ops::Add for FaultStats {
+    type Output = FaultStats;
+
+    /// Sum of two counter sets (counters of executors discarded by a
+    /// rebuild plus those of the live one).
+    fn add(self, other: FaultStats) -> FaultStats {
+        FaultStats {
+            injected: self.injected + other.injected,
+            recovered: self.recovered + other.recovered,
+            retries: self.retries + other.retries,
+            escaped: self.escaped + other.escaped,
+        }
+    }
+}
+
+impl std::ops::AddAssign for FaultStats {
+    fn add_assign(&mut self, other: FaultStats) {
+        *self = *self + other;
+    }
+}
+
 /// What the injector decided for one observed operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultVerdict {

@@ -38,6 +38,10 @@ cargo run --release -p neon-bench --bin repro_hierarchical -- --smoke
 echo "==> degraded-link smoke (transient overhead <= 10%, link repairs bit-transparent, split reroutes flat, straggler rebalance wins)"
 cargo run --release -p neon-bench --bin repro_degraded -- --smoke
 
+echo "==> benchmark build + tests (neonbench/ is its own workspace over the library crates)"
+cargo build --release --manifest-path neonbench/Cargo.toml
+cargo test --manifest-path neonbench/Cargo.toml
+
 echo "==> cargo doc --workspace --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 

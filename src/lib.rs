@@ -29,7 +29,7 @@ pub mod prelude {
     pub use neon_comm::Algorithm as CollectiveAlgorithm;
     pub use neon_core::{
         CollectiveMode, ExecError, ExecReport, FusionLevel, HaloPolicy, OccLevel,
-        ResilienceOptions, Skeleton, SkeletonOptions,
+        ResilienceOptions, Skeleton, SkeletonOptions, Supervisor,
     };
     pub use neon_domain::{
         BlockSparseGrid, Cell, DataView, DenseGrid, Dim3, Field, GridLike, MemLayout, SparseGrid,

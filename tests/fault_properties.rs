@@ -63,7 +63,7 @@ fn run_program(
     let relax = ops::axpy_const(&g, 0.25, &v, &u);
     let reduce = ops::dot(&g, &u, &v, &s);
 
-    let mut sk = Skeleton::sequence(
+    let sk = Skeleton::sequence(
         &b,
         "fault-prop",
         vec![sten, relax, reduce],
@@ -74,18 +74,17 @@ fn run_program(
             ..Default::default()
         },
     );
+    let mut sup = Supervisor::new(sk);
     if let Some(p) = plan {
-        sk.install_fault_plan(p);
+        sup.target_mut().install_fault_plan(p);
     }
-    let run = sk
-        .run_iters_resilient(0, iters)
-        .expect("transient faults must heal");
+    sup.run(iters as u64).expect("transient faults must heal");
 
     let mut out = RunBits {
         u: Vec::new(),
         v: Vec::new(),
         s: s.host_value().to_bits(),
-        rollbacks: run.rollbacks,
+        rollbacks: sup.report().rollbacks,
     };
     u.for_each(|_, _, _, _, val| out.u.push(val.to_bits()));
     v.for_each(|_, _, _, _, val| out.v.push(val.to_bits()));
