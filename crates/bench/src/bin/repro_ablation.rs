@@ -14,7 +14,7 @@
 
 use neon_apps::lbm::{LbmParams, LidDrivenCavity};
 use neon_bench::render_table;
-use neon_core::{OccLevel, Skeleton, SkeletonOptions};
+use neon_core::{CommMode, OccLevel, Skeleton, SkeletonOptions};
 use neon_domain::{
     Cell, Container, DenseGrid, Dim3, Field, FieldStencil as _, FieldWrite as _, GridLike,
     MemLayout, Stencil, StorageMode,
@@ -210,9 +210,12 @@ fn unified_memory_ablation() {
                 &f1,
                 neon_apps::lbm::LbmParams::default(),
             );
+            // The paper's claim is about its epoch model: per-chunk
+            // events would already overlap the explicit halo without OCC.
             let opts = SkeletonOptions {
                 occ,
                 halo_policy: policy,
+                comm: CommMode::Epoch,
                 ..Default::default()
             };
             let t = Skeleton::sequence(&backend, "halo-policy", vec![step], opts)

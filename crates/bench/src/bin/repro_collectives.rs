@@ -1,7 +1,8 @@
-//! Collective-communication sweep: all-reduce makespan for every
-//! algorithm (host-staged / ring / tree) across message sizes, device
-//! counts and both interconnect classes (DGX-A100 NVLink all-to-all vs a
-//! PCIe box staging through the host root complex).
+//! Collective-communication sweep: all-reduce makespan for every flat
+//! algorithm (host-staged / ring / tree / recursive doubling) across
+//! message sizes, device counts and both interconnect classes (DGX-A100
+//! NVLink all-to-all vs a PCIe box staging through the host root
+//! complex).
 //!
 //! Also demonstrates:
 //! * the automatic algorithm selection (what `Auto` would pick per cell),
@@ -12,26 +13,40 @@
 //!
 //! Output: a table per topology on stdout and machine-readable JSON at
 //! `results/repro_collectives.json`.
+//!
+//! `--smoke` asserts the selection gates and exits non-zero on violation
+//! without touching the results file (CI hook):
+//! * an 8-byte all-reduce on 2 NVLink devices completes within 1.05 × one
+//!   link latency (one pairwise exchange);
+//! * on NVLink, auto is never slower than any flat schedule for payloads
+//!   up to one pipelining chunk — the regime whose steps the analytic
+//!   estimates price exactly (larger steps split into chunks that each pay
+//!   the link latency, which the estimates leave out; the sweep prints
+//!   where auto loses there).
+//!
+//! The PCIe picks are pinned by `neon-comm`'s
+//! `pcie_all_reduce_picks_are_pinned` unit test.
 
 use std::fmt::Write as _;
 
 use neon_bench::render_table;
 use neon_comm::{choose, Algorithm, CollectiveEngine, CollectiveKind, EngineConfig};
-use neon_sys::{DeviceId, QueueSim, SimTime, SpanKind, StreamId, Topology};
+use neon_sys::{DeviceId, LinkModel, QueueSim, SimTime, SpanKind, StreamId, Topology};
 
 fn zeros(n: usize) -> Vec<SimTime> {
     vec![SimTime::ZERO; n]
 }
 
 /// Makespan of one all-reduce of `bytes` over `topo` with a forced
-/// algorithm; also returns total contention events across links.
-fn run_once(topo: &Topology, alg: Algorithm, bytes: u64) -> (SimTime, u64) {
+/// algorithm (`None`: auto selection); also returns total contention
+/// events across links.
+fn run_once(topo: &Topology, alg: Option<Algorithm>, bytes: u64) -> (SimTime, u64) {
     let n = topo.num_devices();
     let mut q = QueueSim::new(n, 1);
     let engine = CollectiveEngine::with_config(
         topo.clone(),
         EngineConfig {
-            algorithm: Some(alg),
+            algorithm: alg,
             ..EngineConfig::default()
         },
     );
@@ -52,34 +67,45 @@ fn fmt_bytes(b: u64) -> String {
     }
 }
 
-fn sweep(label: &str, make_topo: &dyn Fn(usize) -> Topology, json: &mut String) {
+const SIZES: [u64; 6] = [8, 1 << 10, 64 << 10, 1 << 20, 16 << 20, 64 << 20];
+
+/// Print the all-reduce table of one topology class (and append its JSON
+/// rows); returns the cells where auto is slower than the fastest flat
+/// schedule, as `(devices, bytes, auto µs, best µs)`.
+fn sweep(
+    label: &str,
+    make_topo: &dyn Fn(usize) -> Topology,
+    json: &mut String,
+) -> Vec<(usize, u64, f64, f64)> {
     println!("== {label}: all-reduce makespan (us) ==\n");
-    let sizes: &[u64] = &[8, 1 << 10, 64 << 10, 1 << 20, 16 << 20, 64 << 20];
     let mut rows = Vec::new();
+    let mut losses = Vec::new();
     for &ndev in &[2usize, 4, 8] {
         let topo = make_topo(ndev);
-        for &bytes in sizes {
-            let (host, _) = run_once(&topo, Algorithm::HostStaged, bytes);
-            let (ring, _) = run_once(&topo, Algorithm::Ring, bytes);
-            let (tree, _) = run_once(&topo, Algorithm::Tree, bytes);
+        for bytes in SIZES {
+            let flat = Algorithm::FLAT.map(|a| run_once(&topo, Some(a), bytes).0.as_us());
+            let [host, ring, tree, rd] = flat;
             let auto = choose(CollectiveKind::AllReduce, bytes, &topo);
+            let auto_us = run_once(&topo, None, bytes).0.as_us();
+            let best = flat.into_iter().fold(f64::INFINITY, f64::min);
+            if auto_us > best {
+                losses.push((ndev, bytes, auto_us, best));
+            }
             rows.push(vec![
                 format!("{ndev}"),
                 fmt_bytes(bytes),
-                format!("{:.1}", host.as_us()),
-                format!("{:.1}", ring.as_us()),
-                format!("{:.1}", tree.as_us()),
+                format!("{host:.1}"),
+                format!("{ring:.1}"),
+                format!("{tree:.1}"),
+                format!("{rd:.1}"),
                 format!("{auto}"),
             ]);
             let _ = write!(
                 json,
                 "{}{{\"topology\":\"{label}\",\"devices\":{ndev},\"bytes\":{bytes},\
-                 \"host_staged_us\":{:.3},\"ring_us\":{:.3},\"tree_us\":{:.3},\
-                 \"auto\":\"{auto}\"}}",
+                 \"host_staged_us\":{host:.3},\"ring_us\":{ring:.3},\"tree_us\":{tree:.3},\
+                 \"recursive_doubling_us\":{rd:.3},\"auto\":\"{auto}\"}}",
                 if json.ends_with('[') { "" } else { "," },
-                host.as_us(),
-                ring.as_us(),
-                tree.as_us(),
             );
         }
     }
@@ -92,12 +118,43 @@ fn sweep(label: &str, make_topo: &dyn Fn(usize) -> Topology, json: &mut String) 
                 "host-staged",
                 "ring",
                 "tree",
+                "rec-doubling",
                 "auto picks"
             ],
             &rows
         )
     );
+    for &(ndev, bytes, auto_us, best) in &losses {
+        println!(
+            "auto loses at {ndev} devices, {}: {auto_us:.1} us vs best flat {best:.1} us",
+            fmt_bytes(bytes)
+        );
+    }
     println!();
+    losses
+}
+
+/// Check the selection gates; returns the failed gates' descriptions.
+fn gates(nvlink_losses: &[(usize, u64, f64, f64)]) -> Vec<String> {
+    let mut failed = Vec::new();
+    let latency = LinkModel::nvlink().latency_us;
+    let (pair, _) = run_once(&Topology::nvlink_all_to_all(2, 1555.0), None, 8);
+    if pair.as_us() > 1.05 * latency {
+        failed.push(format!(
+            "8 B all-reduce on 2 NVLink devices took {:.2} us > 1.05 x {latency} us",
+            pair.as_us()
+        ));
+    }
+    let chunk = EngineConfig::default().chunk_bytes;
+    for &(ndev, bytes, auto_us, best) in nvlink_losses {
+        if bytes <= chunk {
+            failed.push(format!(
+                "NVLink {ndev} devices, {}: auto {auto_us:.1} us slower than {best:.1} us",
+                fmt_bytes(bytes)
+            ));
+        }
+    }
+    failed
 }
 
 /// Contention demo: two simultaneous PCIe peer transfers must serialize
@@ -213,6 +270,7 @@ fn timeline_demo(json: &mut String) {
 }
 
 fn main() {
+    let smoke = std::env::args().any(|a| a == "--smoke");
     // Virtual-clock numbers don't depend on the host, but every results
     // file records the host anyway so wall-clock-bearing files are never
     // the odd ones out (and host-sensitive regressions are diagnosable).
@@ -221,7 +279,7 @@ fn main() {
         .unwrap_or(1);
     let mut json =
         format!("{{\"bench\":\"repro_collectives\",\"host_cores\":{host_cores},\"results\":[");
-    sweep(
+    let nvlink_losses = sweep(
         "DGX-A100 (NVLink all-to-all)",
         &|n| Topology::nvlink_all_to_all(n, 1555.0),
         &mut json,
@@ -231,6 +289,20 @@ fn main() {
         &|n| Topology::pcie_host_staged(n, 870.0),
         &mut json,
     );
+    let failed = gates(&nvlink_losses);
+    for f in &failed {
+        println!("FAIL: {f}");
+    }
+    if !failed.is_empty() {
+        std::process::exit(1);
+    }
+    println!(
+        "gates: 2-device 8 B NVLink all-reduce within 1.05 x one link latency; \
+         auto never slower than a flat schedule on NVLink up to one chunk"
+    );
+    if smoke {
+        return; // CI gate: selection checked, no results file
+    }
     contention_demo();
     timeline_demo(&mut json);
     json.push_str("]}");
@@ -241,10 +313,10 @@ fn main() {
     println!("wrote {path}");
 
     println!(
-        "\nexpected shape: NVLink favors tree at small messages (latency-\n\
-         bound) and ring at large ones (bandwidth-optimal, 2(n-1) shard\n\
-         steps); on the PCIe box every peer algorithm serializes through\n\
-         the host root complex, so host staging stays competitive and the\n\
-         selector falls back to it."
+        "\nexpected shape: NVLink favors recursive doubling at small messages\n\
+         (log2 n overlapped pairwise exchanges, latency-bound) and ring at\n\
+         large ones (bandwidth-optimal, 2(n-1) shard steps); on the PCIe box\n\
+         every peer algorithm serializes through the host root complex, so\n\
+         host staging stays competitive and the selector falls back to it."
     );
 }

@@ -10,7 +10,7 @@
 //! every shard step over the slow links.
 //!
 //! Part 2 — **per-chunk event-driven overlap**: a Jacobi stencil sweep on
-//! a PCIe box run in the default epoch mode (consumers wait whole halo
+//! a PCIe box run in the paper's epoch mode (consumers wait whole halo
 //! epochs) vs `CommMode::ChunkEvents` (payloads stream in chunks, the
 //! consuming kernel splits into an interior span that overlaps the
 //! transfers and a boundary span gated only on the last arriving chunk).

@@ -1,6 +1,7 @@
 //! Collective algorithms and the analytic cost model used to pick one.
 //!
-//! Three algorithms are modelled, mirroring the classic NCCL trade-off:
+//! Four flat algorithms are modelled, mirroring the classic NCCL/MPI
+//! trade-off:
 //!
 //! * **Host-staged** — every device copies its full payload to the host,
 //!   the host combines, every device copies the result back. All `2n`
@@ -12,8 +13,14 @@
 //! * **Binomial tree** — `⌈log₂ n⌉` reduce rounds to rank 0 followed by
 //!   `⌈log₂ n⌉` broadcast rounds, each moving the full payload. Fewer
 //!   latency terms than ring, more bytes: wins for small messages.
+//! * **Recursive doubling** — all-reduce only: partners `a ^ mask`
+//!   exchange the full payload concurrently for `⌊log₂ n⌋` rounds (plus a
+//!   fold round before and an unfold round after when `n` is not a power
+//!   of two). Half the tree's latency terms where the rounds overlap (NVLink);
+//!   on PCIe every round's concurrent sends share the root complex, so it
+//!   never beats the tree there.
 //!
-//! [`choose`] evaluates [`estimate_us`] for all three against the actual
+//! [`choose`] evaluates [`estimate_us`] for all of them against the actual
 //! topology (link class decides whether peer steps overlap or serialize
 //! through the root complex) and picks the cheapest — selection is driven
 //! by both the interconnect and the message size.
@@ -32,6 +39,11 @@ pub enum Algorithm {
     Ring,
     /// Binomial reduce-to-root + broadcast (latency-optimal).
     Tree,
+    /// Pairwise full-payload exchange between partners `a ^ mask`,
+    /// `⌊log₂ n⌋` rounds, with a fold/unfold round for the ranks beyond
+    /// the largest power of two. All-reduce only; the other kinds run the
+    /// binomial tree.
+    RecursiveDoubling,
     /// Topology-hierarchical: reduce inside each NVLink island, exchange
     /// one representative per island across the slow cross-island links,
     /// broadcast back inside. Crosses the slow links `2(r−1)` times for
@@ -41,13 +53,21 @@ pub enum Algorithm {
 }
 
 impl Algorithm {
-    /// The flat (topology-oblivious) algorithms, for sweeps.
-    pub const FLAT: [Algorithm; 3] = [Algorithm::HostStaged, Algorithm::Ring, Algorithm::Tree];
-    /// All algorithms, for sweeps.
-    pub const ALL: [Algorithm; 4] = [
+    /// The flat (topology-oblivious) algorithms, for sweeps. Selection
+    /// keeps the first of equally cheap candidates, so the order breaks
+    /// ties.
+    pub const FLAT: [Algorithm; 4] = [
         Algorithm::HostStaged,
         Algorithm::Ring,
         Algorithm::Tree,
+        Algorithm::RecursiveDoubling,
+    ];
+    /// All algorithms, for sweeps.
+    pub const ALL: [Algorithm; 5] = [
+        Algorithm::HostStaged,
+        Algorithm::Ring,
+        Algorithm::Tree,
+        Algorithm::RecursiveDoubling,
         Algorithm::Hierarchical,
     ];
 }
@@ -58,6 +78,7 @@ impl fmt::Display for Algorithm {
             Algorithm::HostStaged => "host-staged",
             Algorithm::Ring => "ring",
             Algorithm::Tree => "tree",
+            Algorithm::RecursiveDoubling => "recursive-doubling",
             Algorithm::Hierarchical => "hierarchical",
         })
     }
@@ -156,6 +177,24 @@ pub fn estimate_us(
                 CollectiveKind::Broadcast => rounds * round,
             }
         }
+        Algorithm::RecursiveDoubling => {
+            if kind != CollectiveKind::AllReduce {
+                return estimate_us(Algorithm::Tree, kind, ndev, bytes, peer, host);
+            }
+            // `p` ranks exchange for log₂ p rounds; the `n − p` extra ranks
+            // fold into them before and unfold after. A round's sends run
+            // at once: they overlap on dedicated links, and through the
+            // PCIe root complex they are charged one after another at the
+            // busiest round's count, `p` — the same bound the tree uses.
+            let p = 1usize << ndev.ilog2();
+            let rounds = p.ilog2() as f64 + if p < ndev { 2.0 } else { 0.0 };
+            let round_serial = if peer.kind == LinkKind::PciE3 {
+                p as f64
+            } else {
+                1.0
+            };
+            rounds * round_serial * peer.transfer_time(bytes).as_us()
+        }
         Algorithm::Hierarchical => f64::INFINITY,
     }
 }
@@ -217,7 +256,11 @@ pub fn choose_flat(kind: CollectiveKind, bytes: u64, topo: &Topology) -> Algorit
     let mut best = Algorithm::Ring;
     let mut best_t = f64::INFINITY;
     for alg in Algorithm::FLAT {
-        let t = estimate_us(alg, kind, ndev, bytes, &peer, &host);
+        let link = match alg {
+            Algorithm::RecursiveDoubling => slowest_exchange_link(topo, bytes),
+            _ => peer,
+        };
+        let t = estimate_us(alg, kind, ndev, bytes, &link, &host);
         if t < best_t {
             best_t = t;
             best = alg;
@@ -226,12 +269,33 @@ pub fn choose_flat(kind: CollectiveKind, bytes: u64, topo: &Topology) -> Algorit
     best
 }
 
+/// The slowest link recursive doubling's fold, exchange and unfold pairs
+/// use on `topo`. Its rounds are lock-step, so one slow pair — a severed
+/// wire staged through the host, a degraded one — sets the pace of its
+/// round; on a uniform topology this is just the peer link.
+fn slowest_exchange_link(topo: &Topology, bytes: u64) -> LinkModel {
+    let n = topo.num_devices();
+    let p = 1usize << n.ilog2();
+    let fold = (p..n).flat_map(|r| [(r, r - p), (r - p, r)]);
+    let rounds = (0..p).flat_map(|a| (0..p.ilog2()).map(move |b| (a, a ^ (1 << b))));
+    fold.chain(rounds)
+        .map(|(a, b)| *topo.link(DeviceId(a), DeviceId(b)))
+        .fold(*topo.link(DeviceId(0), DeviceId(1)), |slow, l| {
+            if l.transfer_time(bytes) > slow.transfer_time(bytes) {
+                l
+            } else {
+                slow
+            }
+        })
+}
+
 /// Pick the cheapest algorithm for `kind` on this topology and payload.
 ///
 /// Selection is driven by the topology's link class and the message size:
-/// small payloads on NVLink favour the tree (fewest latency terms), large
-/// payloads favour the ring (bandwidth-optimal), and PCIe boxes fall back
-/// to host staging when serialization erases the peer algorithms' edge.
+/// small payloads on NVLink favour recursive doubling (fewest latency
+/// terms, overlapped pairwise), large payloads favour the ring
+/// (bandwidth-optimal), and PCIe boxes fall back to host staging when
+/// serialization erases the peer algorithms' edge.
 /// On *mixed* topologies — more than one island, at least one with an
 /// NVLink interior, as produced by multi-box fleets and by asymmetric
 /// survivor subsets after device eviction — the hierarchical schedule
@@ -263,9 +327,37 @@ mod tests {
     use super::*;
 
     #[test]
-    fn small_nvlink_all_reduce_prefers_tree() {
+    fn small_nvlink_all_reduce_prefers_recursive_doubling() {
+        // Three overlapped exchange rounds beat the tree's six sequential
+        // ones; the tree still beats the ring's fourteen shard steps.
         let topo = Topology::nvlink_all_to_all(8, 1555.0);
-        assert_eq!(choose(CollectiveKind::AllReduce, 8, &topo), Algorithm::Tree);
+        assert_eq!(
+            choose(CollectiveKind::AllReduce, 8, &topo),
+            Algorithm::RecursiveDoubling
+        );
+        let peer = LinkModel::nvlink();
+        let host = LinkModel::pcie4_host();
+        let est = |alg| estimate_us(alg, CollectiveKind::AllReduce, 8, 8, &peer, &host);
+        assert!(est(Algorithm::Tree) < est(Algorithm::Ring));
+    }
+
+    #[test]
+    fn recursive_doubling_prices_other_kinds_as_the_tree() {
+        let peer = LinkModel::nvlink();
+        let host = LinkModel::pcie4_host();
+        for kind in [
+            CollectiveKind::ReduceScatter,
+            CollectiveKind::AllGather,
+            CollectiveKind::Broadcast,
+        ] {
+            for n in 2..=8 {
+                let est = |alg| estimate_us(alg, kind, n, 4 << 10, &peer, &host);
+                assert_eq!(est(Algorithm::RecursiveDoubling), est(Algorithm::Tree));
+                // Ties keep the earlier candidate, so it is never picked.
+                let topo = Topology::nvlink_all_to_all(n, 1555.0);
+                assert_ne!(choose(kind, 8, &topo), Algorithm::RecursiveDoubling);
+            }
+        }
     }
 
     #[test]
@@ -301,6 +393,33 @@ mod tests {
             choose(CollectiveKind::AllReduce, 8, &topo),
             Algorithm::HostStaged
         );
+    }
+
+    #[test]
+    fn pcie_all_reduce_picks_are_pinned() {
+        // The root complex serializes every peer step on this box, so the
+        // selection here must not drift when algorithms are added.
+        use Algorithm::{HostStaged as H, Ring as R, Tree as T};
+        let sizes = [8u64, 4 << 10, 1 << 20, 64 << 20];
+        let table: [(usize, [Algorithm; 4]); 7] = [
+            (2, [T, T, T, T]),
+            (3, [H, H, R, R]),
+            (4, [H, H, R, R]),
+            (5, [H, H, H, R]),
+            (6, [H, H, H, R]),
+            (7, [H, H, H, R]),
+            (8, [H, H, H, R]),
+        ];
+        for (n, picks) in table {
+            let topo = Topology::pcie_host_staged(n, 870.0);
+            for (bytes, want) in sizes.into_iter().zip(picks) {
+                assert_eq!(
+                    choose(CollectiveKind::AllReduce, bytes, &topo),
+                    want,
+                    "{n} devices, {bytes} B"
+                );
+            }
+        }
     }
 
     #[test]

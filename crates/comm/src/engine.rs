@@ -136,6 +136,9 @@ impl CollectiveEngine {
             Algorithm::HostStaged => self.host_staged(q, kind, bytes, earliest, lane, name),
             Algorithm::Ring => self.ring(q, kind, bytes, earliest, lane, name),
             Algorithm::Tree => self.tree(q, kind, bytes, earliest, lane, name),
+            Algorithm::RecursiveDoubling => {
+                self.recursive_doubling(q, kind, bytes, earliest, lane, name)
+            }
             Algorithm::Hierarchical => self.hierarchical(q, kind, bytes, earliest, lane, name),
         };
         let busy_after: SimTime = (0..n).map(|d| q.now(self.stream(d, lane))).sum();
@@ -171,13 +174,7 @@ impl CollectiveEngine {
         dst: usize,
         label: &str,
     ) -> (SimTime, SimTime) {
-        let (verdict, backoff) = match q.fault_injector() {
-            Some(inj) => (
-                inj.observe(DeviceId(dst), FaultSiteKind::Link),
-                inj.policy().backoff,
-            ),
-            None => (FaultVerdict::Clean, SimTime::ZERO),
-        };
+        let (verdict, backoff) = self.link_verdict(q, dst);
         q.enqueue_transfer_with_faults(
             stream,
             ready,
@@ -189,6 +186,19 @@ impl CollectiveEngine {
             verdict,
             backoff,
         )
+    }
+
+    /// Observe one collective chunk toward rank `dst` as a
+    /// [`FaultSiteKind::Link`] operation; returns the verdict and the
+    /// policy's base backoff (clean and zero without an injector).
+    fn link_verdict(&self, q: &QueueSim, dst: usize) -> (FaultVerdict, SimTime) {
+        match q.fault_injector() {
+            Some(inj) => (
+                inj.observe(DeviceId(dst), FaultSiteKind::Link),
+                inj.policy().backoff,
+            ),
+            None => (FaultVerdict::Clean, SimTime::ZERO),
+        }
     }
 
     /// Split `step_bytes` into `(chunks, bytes_per_chunk)`.
@@ -349,6 +359,128 @@ impl CollectiveEngine {
                     }
                 }
             }
+        }
+        self.finish(q, lane, &ready)
+    }
+
+    /// Recursive-doubling all-reduce: with `p` the largest power of two
+    /// `≤ n`, ranks `p..n` first fold their payload into rank `r − p`;
+    /// then for `mask = 1, 2, …, p/2` every rank `a < p` sends its whole
+    /// partial to `a ^ mask` while receiving the partner's, both at once;
+    /// finally rank `r − p` hands the result back to rank `r`. Every
+    /// device holds the result after `⌊log₂ n⌋` exchange rounds (plus
+    /// the fold and unfold), against the tree's `2⌈log₂ n⌉` sequential
+    /// rounds. The other kinds run the binomial tree.
+    ///
+    /// From the second exchange round on, the partner's whole aligned
+    /// block of `mask` ranks holds the identical partial, so a chunk that
+    /// arrives corrupted is re-fetched from the block's next holder
+    /// (`src ^ 1`) right after the failed attempt, without the backoff,
+    /// when that holder's wire shares no link resource with the faulty
+    /// one. Backoff exists to let a flaky path settle; a disjoint wire
+    /// has nothing to wait for. Further failures of the re-fetch back off
+    /// as usual. Round one, the fold and the unfold have a single holder,
+    /// and shared paths (the PCIe root complex) keep the plain retry.
+    fn recursive_doubling(
+        &self,
+        q: &mut QueueSim,
+        kind: CollectiveKind,
+        bytes: u64,
+        earliest: &[SimTime],
+        lane: usize,
+        name: &str,
+    ) -> Vec<SimTime> {
+        if kind != CollectiveKind::AllReduce {
+            return self.tree(q, kind, bytes, earliest, lane, name);
+        }
+        let n = self.topo.num_devices();
+        let p = 1usize << n.ilog2();
+        let (c, cb) = self.chunks(bytes);
+        let mut ready: Vec<Vec<SimTime>> = earliest.iter().map(|&t| vec![t; c]).collect();
+        for src in p..n {
+            self.tree_send(q, &mut ready, src, src - p, cb, lane, name, "rd-fold", true);
+        }
+        let mut mask = 1;
+        while mask < p {
+            // Both partners send the partial they held when the round
+            // began, so read the sources from a snapshot.
+            let prev = ready.clone();
+            // (holder, dst, chunk, corruption detected at, failures left)
+            let mut refetch = Vec::new();
+            for src in 0..p {
+                let dst = src ^ mask;
+                let dur = self.topo.transfer_time(DeviceId(src), DeviceId(dst), cb);
+                let res = self
+                    .topo
+                    .link_resources(DeviceId(src), DeviceId(dst))
+                    .to_vec();
+                let holder = (mask > 1).then_some(src ^ 1).filter(|&h| {
+                    let alt = self.topo.link_resources(DeviceId(h), DeviceId(dst));
+                    !alt.iter().any(|r| res.contains(r))
+                });
+                for k in 0..c {
+                    let label = format!("{name}:rd{mask}.{k}:{src}->{dst}");
+                    let (verdict, backoff) = self.link_verdict(q, dst);
+                    if let (Some(h), FaultVerdict::Recovered { failed_attempts }) =
+                        (holder, verdict)
+                    {
+                        // One failed attempt on the faulty wire, no
+                        // backoff: the re-fetch leaves from `h` below,
+                        // after this round's regular sends.
+                        let (_, detected) = q.enqueue_transfer_with_faults(
+                            self.stream(src, lane),
+                            prev[src][k],
+                            dur,
+                            &res,
+                            cb,
+                            &label,
+                            SpanKind::Collective,
+                            FaultVerdict::Escaped { failed_attempts: 1 },
+                            SimTime::ZERO,
+                        );
+                        refetch.push((h, dst, k, detected, failed_attempts - 1));
+                        continue;
+                    }
+                    let (_, end) = q.enqueue_transfer_with_faults(
+                        self.stream(src, lane),
+                        prev[src][k],
+                        dur,
+                        &res,
+                        cb,
+                        &label,
+                        SpanKind::Collective,
+                        verdict,
+                        backoff,
+                    );
+                    ready[dst][k] = ready[dst][k].max(end);
+                }
+            }
+            for (h, dst, k, detected, left) in refetch {
+                let verdict = match left {
+                    0 => FaultVerdict::Clean,
+                    failed_attempts => FaultVerdict::Recovered { failed_attempts },
+                };
+                let backoff = q
+                    .fault_injector()
+                    .map_or(SimTime::ZERO, |inj| inj.policy().backoff);
+                let (_, end) = q.enqueue_transfer_with_faults(
+                    self.stream(h, lane),
+                    prev[h][k].max(detected),
+                    self.topo.transfer_time(DeviceId(h), DeviceId(dst), cb),
+                    self.topo.link_resources(DeviceId(h), DeviceId(dst)),
+                    cb,
+                    &format!("{name}:rd{mask}.{k}:{h}->{dst}:refetch"),
+                    SpanKind::Collective,
+                    verdict,
+                    backoff,
+                );
+                ready[dst][k] = ready[dst][k].max(end);
+            }
+            mask <<= 1;
+        }
+        for dst in p..n {
+            let dir = "rd-unfold";
+            self.tree_send(q, &mut ready, dst - p, dst, cb, lane, name, dir, false);
         }
         self.finish(q, lane, &ready)
     }
@@ -984,6 +1116,173 @@ mod tests {
                 "ar",
             );
             assert_eq!(a, b, "{alg}");
+        }
+    }
+
+    /// 8 B recursive-doubling all-reduce on four devices with `plan`'s
+    /// link faults injected in iteration 0: the makespan in µs and
+    /// whether a chunk was re-fetched from another holder.
+    fn rd_faulted(topo: Topology, plan: neon_sys::FaultPlan) -> (f64, bool) {
+        use neon_sys::{FaultInjector, RetryPolicy};
+        let engine = CollectiveEngine::with_config(
+            topo,
+            EngineConfig {
+                algorithm: Some(Algorithm::RecursiveDoubling),
+                ..EngineConfig::default()
+            },
+        );
+        let mut q = QueueSim::new(4, 1);
+        q.enable_trace();
+        let inj = FaultInjector::new(plan, RetryPolicy::default(), 4);
+        inj.begin_iteration(0).unwrap();
+        q.set_fault_injector(Some(inj));
+        let t = engine.schedule(&mut q, CollectiveKind::AllReduce, 8, &zeros(4), 0, "ar");
+        let stats = q.fault_injector().unwrap().stats();
+        assert_eq!(stats.escaped, 0);
+        assert_eq!(stats.recovered, stats.injected);
+        let spans = q.trace().unwrap().spans();
+        let refetched = spans.iter().any(|s| s.name.ends_with(":refetch"));
+        (t.makespan().as_us(), refetched)
+    }
+
+    #[test]
+    fn recursive_doubling_refetches_a_corrupted_partial_from_another_holder() {
+        use neon_sys::FaultPlan;
+        let nvlink = || Topology::nvlink_all_to_all(4, 1555.0);
+        let fault =
+            |dev, nth, fails| FaultPlan::none().with_link_fault(0, DeviceId(dev), nth, fails);
+        // Clean: two rounds of one 9.5 µs link latency each.
+        let (clean, _) = rd_faulted(nvlink(), FaultPlan::none());
+        assert!((clean - 19.0).abs() < 0.01, "{clean}");
+        // Round one (rank 1 hears from 0): a single holder, so the
+        // failed attempt is followed by the 50 µs backoff and a resend.
+        let (round_one, refetched) = rd_faulted(nvlink(), fault(1, 0, 1));
+        assert!(!refetched);
+        assert!(
+            (round_one - (clean + 9.5 + 50.0)).abs() < 0.01,
+            "{round_one}"
+        );
+        // Round two (rank 3 hears {0,1}'s partial from 1): rank 0 holds
+        // the same partial on a disjoint wire, so the re-fetch needs no
+        // backoff; only the failed attempt is paid.
+        let (round_two, refetched) = rd_faulted(nvlink(), fault(3, 1, 1));
+        assert!(refetched);
+        assert!((round_two - (clean + 9.5)).abs() < 0.01, "{round_two}");
+        // A re-fetch that fails too backs off as usual on the holder's wire.
+        let (twice, _) = rd_faulted(nvlink(), fault(3, 1, 2));
+        assert!((twice - (clean + 2.0 * 9.5 + 50.0)).abs() < 0.01, "{twice}");
+        // Every PCIe path crosses the shared root complex, so no holder's
+        // wire is disjoint: the plain retry stays.
+        let pcie = || Topology::pcie_host_staged(4, 1555.0);
+        let (pcie_clean, _) = rd_faulted(pcie(), FaultPlan::none());
+        let (pcie_two, refetched) = rd_faulted(pcie(), fault(3, 1, 1));
+        assert!(!refetched);
+        assert!(pcie_two > pcie_clean, "{pcie_clean} -> {pcie_two}");
+    }
+
+    #[test]
+    fn severed_wire_keeps_recursive_doubling_out_of_auto() {
+        // Cutting 0↔1 stages rank 0 and 1's first exchange through the
+        // host. Auto must not pick recursive doubling there on the
+        // strength of the healthy link(0, n−1); it keeps the pick it made
+        // before recursive doubling existed.
+        let severed =
+            |n| Topology::nvlink_all_to_all(n, 1555.0).without_link(DeviceId(0), DeviceId(1));
+        for n in [3, 4, 8] {
+            for bytes in ONE_CHUNK_SIZES {
+                let auto = choose(CollectiveKind::AllReduce, bytes, &severed(n));
+                assert_ne!(auto, Algorithm::RecursiveDoubling, "{n} devices, {bytes} B");
+            }
+        }
+        // At 3 and 4 devices the staged round makes it slower than the tree.
+        for n in [3, 4] {
+            let (tree, _) = run(severed(n), Algorithm::Tree, CollectiveKind::AllReduce, 8);
+            let (rd, _) = run(
+                severed(n),
+                Algorithm::RecursiveDoubling,
+                CollectiveKind::AllReduce,
+                8,
+            );
+            assert!(tree.makespan() < rd.makespan(), "{n} devices");
+        }
+    }
+
+    /// Payloads up to one pipelining chunk: the regime where the analytic
+    /// estimates price every step exactly (larger steps split into chunks
+    /// that each pay the link latency, which the estimates leave out).
+    const ONE_CHUNK_SIZES: [u64; 4] = [8, 4 << 10, 64 << 10, 1 << 20];
+
+    #[test]
+    fn recursive_doubling_estimate_matches_its_schedule_on_nvlink() {
+        use crate::algorithm::estimate_us;
+        for n in 2..=8 {
+            let topo = Topology::nvlink_all_to_all(n, 1555.0);
+            let peer = *topo.link(DeviceId(0), DeviceId(n - 1));
+            let host = *topo.host_link();
+            for bytes in ONE_CHUNK_SIZES {
+                let alg = Algorithm::RecursiveDoubling;
+                let (t, _) = run(topo.clone(), alg, CollectiveKind::AllReduce, bytes);
+                let sched = t.makespan().as_us();
+                let est = estimate_us(alg, CollectiveKind::AllReduce, n, bytes, &peer, &host);
+                assert!(
+                    (est - sched).abs() <= 0.01 * sched,
+                    "{n} devices, {bytes} B: estimate {est} vs schedule {sched}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn recursive_doubling_rounds_with_fold_for_non_powers_of_two() {
+        // 8 B on NVLink: every round costs one link latency (9.5 µs).
+        // Powers of two take log₂ n rounds; the rest add a fold and an
+        // unfold round around the largest power of two below n.
+        for (n, rounds) in [
+            (2, 1.0),
+            (3, 3.0),
+            (4, 2.0),
+            (5, 4.0),
+            (6, 4.0),
+            (7, 4.0),
+            (8, 3.0),
+        ] {
+            let (t, _) = run(
+                Topology::nvlink_all_to_all(n, 1555.0),
+                Algorithm::RecursiveDoubling,
+                CollectiveKind::AllReduce,
+                8,
+            );
+            assert_eq!(t.done.len(), n);
+            let us = t.makespan().as_us();
+            assert!((us - rounds * 9.5).abs() < 0.01, "{n} devices: {us} µs");
+        }
+    }
+
+    #[test]
+    fn auto_all_reduce_never_loses_to_ring_or_tree_on_nvlink() {
+        for n in 2..=8 {
+            let topo = Topology::nvlink_all_to_all(n, 1555.0);
+            for bytes in ONE_CHUNK_SIZES {
+                let mut q = QueueSim::new(n, 1);
+                let auto = CollectiveEngine::new(topo.clone()).schedule(
+                    &mut q,
+                    CollectiveKind::AllReduce,
+                    bytes,
+                    &zeros(n),
+                    0,
+                    "ar",
+                );
+                for alg in [Algorithm::Ring, Algorithm::Tree] {
+                    let (t, _) = run(topo.clone(), alg, CollectiveKind::AllReduce, bytes);
+                    assert!(
+                        auto.makespan() <= t.makespan(),
+                        "{n} devices, {bytes} B: auto ({}) {} > {alg} {}",
+                        auto.algorithm,
+                        auto.makespan(),
+                        t.makespan()
+                    );
+                }
+            }
         }
     }
 

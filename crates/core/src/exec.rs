@@ -92,7 +92,8 @@ pub enum CommMode {
     /// Whole-transfer epochs: a consumer on device *d* waits for the
     /// entire halo node to finish on *d* — every arriving payload **and**
     /// the device's own outgoing sends — before any of its cells run.
-    #[default]
+    /// The paper's execution model, kept as the baseline its OCC
+    /// comparisons run on (see [`crate::SkeletonOptions::with_occ`]).
     Epoch,
     /// Per-chunk events: halo payloads stream in
     /// [`crate::devplan::comm_chunks`]-sized chunks, each signaling its
@@ -105,7 +106,9 @@ pub enum CommMode {
     /// per-chunk inside the engine; this mode extends the same
     /// granularity to halo exchanges. Bit-identical to [`CommMode::Epoch`]
     /// on the functional side: the event table only gets finer, the
-    /// ordering it enforces is unchanged.
+    /// ordering it enforces is unchanged. The default: its makespan is
+    /// never above the epoch model's.
+    #[default]
     ChunkEvents,
 }
 
@@ -379,10 +382,10 @@ pub struct Executor {
     halo_policy: HaloPolicy,
     engine: CollectiveEngine,
     collective_mode: CollectiveMode,
-    comm_mode: CommMode,
     /// Precomputed `("<name>:int", "<name>:bnd")` span labels per compute
-    /// node, built on the first switch to [`CommMode::ChunkEvents`] so the
-    /// split replay formats nothing per launch per iteration.
+    /// node, built when the plan was compiled under
+    /// [`CommMode::ChunkEvents`] so the split replay formats nothing per
+    /// launch per iteration (empty otherwise).
     split_names: Vec<(String, String)>,
     /// The plan's per-device task partition + event table.
     devplan: Arc<DevicePlan>,
@@ -474,6 +477,20 @@ impl Executor {
             })
             .collect();
         let devplan = Arc::clone(plan.device_plan());
+        let split_names = if devplan.chunked() {
+            plan.graph()
+                .nodes()
+                .iter()
+                .map(|n| match n.kind {
+                    NodeKind::Compute { .. } => {
+                        (format!("{}:int", n.name), format!("{}:bnd", n.name))
+                    }
+                    _ => (String::new(), String::new()),
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
         let events = EventSlots::new(devplan.num_slots());
         Executor {
             backend,
@@ -486,8 +503,7 @@ impl Executor {
             halo_policy: HaloPolicy::ExplicitTransfers,
             engine,
             collective_mode: CollectiveMode::default(),
-            comm_mode: CommMode::default(),
-            split_names: Vec::new(),
+            split_names,
             devplan,
             pool: None,
             events,
@@ -528,31 +544,6 @@ impl Executor {
                 ..EngineConfig::default()
             },
         );
-    }
-
-    /// Select how communication completion gates downstream compute
-    /// (default: [`CommMode::Epoch`]).
-    pub fn set_comm_mode(&mut self, mode: CommMode) {
-        self.comm_mode = mode;
-        if mode == CommMode::ChunkEvents && self.split_names.is_empty() {
-            self.split_names = self
-                .plan
-                .graph()
-                .nodes()
-                .iter()
-                .map(|n| match n.kind {
-                    NodeKind::Compute { .. } => {
-                        (format!("{}:int", n.name), format!("{}:bnd", n.name))
-                    }
-                    _ => (String::new(), String::new()),
-                })
-                .collect();
-        }
-    }
-
-    /// The configured communication-signaling mode.
-    pub fn comm_mode(&self) -> CommMode {
-        self.comm_mode
     }
 
     /// The virtual-clock simulator (link utilization counters live here).
@@ -823,8 +814,8 @@ impl Executor {
         // ready, when the last chunk *arrived*, and how many bytes came
         // in. Unified memory has no explicit transfers to chunk, so the
         // mode only applies to the explicit-transfer policy.
-        let chunked = self.comm_mode == CommMode::ChunkEvents
-            && matches!(self.halo_policy, HaloPolicy::ExplicitTransfers);
+        let chunked =
+            self.devplan.chunked() && matches!(self.halo_policy, HaloPolicy::ExplicitTransfers);
         let mut h_ready = std::mem::take(&mut self.halo_ready_scratch);
         let mut h_arrive = std::mem::take(&mut self.halo_arrive_scratch);
         let mut h_bytes = std::mem::take(&mut self.halo_bytes_scratch);
@@ -934,23 +925,14 @@ impl Executor {
                             Some((e0, arrive, hbytes)) => {
                                 let frac = (hbytes as f64 / bytes.max(1) as f64).min(1.0);
                                 let bnd = SimTime::from_us(dur.as_us() * frac);
-                                let interior = dur - bnd;
                                 let (int_name, bnd_name) = &self.split_names[node_id];
-                                let (_, ie) = self.queue.enqueue_from(
+                                self.queue.enqueue_split_kernel(
                                     stream,
                                     e0,
-                                    interior,
-                                    int_name,
-                                    SpanKind::Kernel,
-                                );
-                                let (_, e) = self.queue.enqueue_from(
-                                    stream,
-                                    ie.max(arrive),
-                                    bnd,
-                                    bnd_name,
-                                    SpanKind::Kernel,
-                                );
-                                e
+                                    arrive,
+                                    (dur, bnd),
+                                    (int_name, bnd_name),
+                                )
                             }
                             None => {
                                 let (_, e) = self.queue.enqueue_from(

@@ -807,7 +807,7 @@ mod tests {
             (
                 "comm",
                 SkeletonOptions {
-                    comm: CommMode::ChunkEvents,
+                    comm: CommMode::Epoch,
                     ..base
                 },
             ),
@@ -881,17 +881,17 @@ mod tests {
         // latter carries per-chunk arrival slots), so the two modes must
         // compile fresh instead of aliasing in the cache.
         let (b, seq1) = stencil_sequence(2);
-        let (base_plan, _) = compile(&b, seq1, SkeletonOptions::default()).unwrap();
-        let (_b, seq2) = stencil_sequence(2);
-        let (p, hit) = compile(
+        let (base_plan, _) = compile(
             &b,
-            seq2,
+            seq1,
             SkeletonOptions {
-                comm: CommMode::ChunkEvents,
+                comm: CommMode::Epoch,
                 ..Default::default()
             },
         )
         .unwrap();
+        let (_b, seq2) = stencil_sequence(2);
+        let (p, hit) = compile(&b, seq2, SkeletonOptions::default()).unwrap();
         assert!(!hit, "different comm mode compiles fresh");
         assert!(p.device_plan().chunked());
         assert!(!base_plan.device_plan().chunked());

@@ -155,12 +155,12 @@ pub struct SkeletonOptions {
     /// is picked from the topology and payload (`Auto`), or forced
     /// (`Fixed`).
     pub collectives: CollectiveMode,
-    /// How communication completion gates downstream compute: whole-node
-    /// epochs (default) or per-chunk events, where halo payloads stream
-    /// in chunks and consuming kernels split into an interior span that
-    /// overlaps in-flight chunks and a boundary span gated on the last
-    /// arrival. Shapes the device plan's event table, so it is part of
-    /// the plan-cache key.
+    /// How communication completion gates downstream compute: per-chunk
+    /// events (default), where halo payloads stream in chunks and
+    /// consuming kernels split into an interior span that overlaps
+    /// in-flight chunks and a boundary span gated on the last arrival, or
+    /// the paper's whole-node epochs. Shapes the device plan's event
+    /// table, so it is part of the plan-cache key.
     pub comm: CommMode,
     /// Run the invariant validator between compile passes (cheap on
     /// app-sized graphs; turn off for huge synthetic sequences).
@@ -193,7 +193,7 @@ impl Default for SkeletonOptions {
             trace: false,
             fusion: FusionLevel::default(),
             collectives: CollectiveMode::Auto,
-            comm: CommMode::Epoch,
+            comm: CommMode::ChunkEvents,
             validate: true,
             cache: true,
             dump_ir: false,
@@ -204,16 +204,19 @@ impl Default for SkeletonOptions {
 }
 
 impl SkeletonOptions {
-    /// Options with a given OCC level and **fusion off** — the paper's
-    /// baseline executor, where the OCC level under study is what shapes
-    /// the graph. Fusing a trailing reduction produces a node OCC leaves
-    /// whole (see the `fuse` pass), which would flatten every OCC
-    /// comparison built on this constructor; opt into fusion explicitly
-    /// via `Default::default()` or the `fusion` field.
+    /// Options with a given OCC level, **fusion off** and **epoch
+    /// signaling** — the paper's baseline executor, where the OCC level
+    /// under study is what shapes the graph and overlaps communication.
+    /// Fusing a trailing reduction produces a node OCC leaves whole (see
+    /// the `fuse` pass), and per-chunk events hide halo latency on their
+    /// own; either would flatten every OCC comparison built on this
+    /// constructor. Opt into them explicitly via `Default::default()` or
+    /// the `fusion`/`comm` fields.
     pub fn with_occ(occ: OccLevel) -> Self {
         SkeletonOptions {
             occ,
             fusion: FusionLevel::Off,
+            comm: CommMode::Epoch,
             ..Default::default()
         }
     }
@@ -260,7 +263,6 @@ impl Skeleton {
         executor.set_kernel_concurrency(options.kernel_concurrency);
         executor.set_halo_policy(options.halo_policy);
         executor.set_collective_mode(options.collectives);
-        executor.set_comm_mode(options.comm);
         executor.set_functional_mode(options.functional_mode);
         if options.trace {
             executor.enable_trace();

@@ -377,8 +377,10 @@ fn dot_export_and_schedule_render() {
 
 #[test]
 fn unified_memory_halo_is_slower_and_defeats_occ() {
-    use neon_core::HaloPolicy;
-    let mk = |policy: HaloPolicy, occ: OccLevel| {
+    use neon_core::{CommMode, HaloPolicy};
+    // The paper's claim is about the epoch execution model, so compare
+    // under it; chunk events are checked separately at the end.
+    let mk_comm = |policy: HaloPolicy, occ: OccLevel, comm: CommMode| {
         let b = Backend::dgx_a100(4);
         let st = Stencil::seven_point();
         let g = DenseGrid::new(&b, Dim3::new(128, 128, 64), &[&st], StorageMode::Virtual).unwrap();
@@ -402,6 +404,7 @@ fn unified_memory_halo_is_slower_and_defeats_occ() {
         let opts = SkeletonOptions {
             occ,
             halo_policy: policy,
+            comm,
             ..Default::default()
         };
         Skeleton::sequence(&b, "um", vec![upd, sten], opts)
@@ -409,6 +412,7 @@ fn unified_memory_halo_is_slower_and_defeats_occ() {
             .time_per_execution()
             .as_us()
     };
+    let mk = |policy: HaloPolicy, occ: OccLevel| mk_comm(policy, occ, CommMode::Epoch);
     let explicit = mk(neon_core::HaloPolicy::ExplicitTransfers, OccLevel::None);
     let unified = mk(neon_core::HaloPolicy::unified_default(), OccLevel::None);
     assert!(
@@ -423,6 +427,23 @@ fn unified_memory_halo_is_slower_and_defeats_occ() {
     assert!(
         explicit_gain > unified_gain + 0.01,
         "OCC gain explicit {explicit_gain:.3} vs unified {unified_gain:.3}"
+    );
+    // Chunk events stream explicit halos but have no transfers to chunk
+    // under unified memory, so the page-fault penalty stays.
+    let explicit_chunked = mk_comm(
+        HaloPolicy::ExplicitTransfers,
+        OccLevel::None,
+        CommMode::ChunkEvents,
+    );
+    let unified_chunked = mk_comm(
+        HaloPolicy::unified_default(),
+        OccLevel::None,
+        CommMode::ChunkEvents,
+    );
+    assert!(
+        unified_chunked > explicit_chunked * 1.05,
+        "unified memory should pay a penalty under chunk events: \
+         {unified_chunked} vs {explicit_chunked}"
     );
 }
 

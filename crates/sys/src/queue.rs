@@ -288,47 +288,89 @@ impl QueueSim {
         name: &str,
         kind: SpanKind,
     ) -> (SimTime, SimTime) {
-        if kind == SpanKind::Kernel {
-            if let Some(inj) = self.injector.clone() {
-                let verdict = inj.observe(s.device, FaultSiteKind::Kernel);
-                if verdict != FaultVerdict::Clean {
-                    let policy = inj.policy();
-                    let first = self.now(s).max(earliest);
-                    return match verdict {
-                        FaultVerdict::Recovered { failed_attempts } => {
-                            let ready = self.faulty_attempts(
-                                s,
-                                first,
-                                duration,
-                                name,
-                                failed_attempts,
-                                policy.backoff,
-                            );
-                            self.enqueue_from_clean(s, ready, duration, name, kind)
-                        }
-                        FaultVerdict::Escaped { failed_attempts } => {
-                            // All attempts fail; no successful span. The last
-                            // backoff gap is not paid (there is no re-attempt).
-                            let ready = self.faulty_attempts(
-                                s,
-                                first,
-                                duration,
-                                name,
-                                failed_attempts,
-                                policy.backoff,
-                            );
-                            let last_gap = 1u64 << failed_attempts.saturating_sub(1).min(16);
-                            let end =
-                                ready - SimTime::from_us(policy.backoff.as_us() * last_gap as f64);
-                            *self.clock_mut(s) = end;
-                            (first, end)
-                        }
-                        FaultVerdict::Clean => unreachable!(),
-                    };
-                }
+        if kind != SpanKind::Kernel {
+            return self.enqueue_from_clean(s, earliest, duration, name, kind);
+        }
+        match self.kernel_attempts(s, earliest, duration, name) {
+            Ok(ready) => self.enqueue_from_clean(s, ready, duration, name, kind),
+            Err(failed) => failed,
+        }
+    }
+
+    /// Enqueue one kernel launch of length `duration` split in two on
+    /// stream `s`: an interior span that may start at `earliest`, then a
+    /// `boundary`-long span that also waits for `gate`. Returns the
+    /// launch's end.
+    ///
+    /// The end is `max(start + duration, gate + boundary)`, so a launch
+    /// whose gate has passed by the time its interior finishes ends
+    /// exactly where the unsplit launch would: splitting never costs
+    /// time, not even a rounding step. The pair is one launch, so the
+    /// fault injector is consulted once: a recovered fault re-runs the
+    /// whole launch before the interior span starts, and an escaped one
+    /// records only the failed attempts and returns their end.
+    pub fn enqueue_split_kernel(
+        &mut self,
+        s: StreamId,
+        earliest: SimTime,
+        gate: SimTime,
+        (duration, boundary): (SimTime, SimTime),
+        (interior_name, boundary_name): (&str, &str),
+    ) -> SimTime {
+        let ready = match self.kernel_attempts(s, earliest, duration, interior_name) {
+            Ok(ready) => ready,
+            Err((_, end)) => return end,
+        };
+        let k = SpanKind::Kernel;
+        let (start, ie) = self.enqueue_from_clean(s, ready, duration - boundary, interior_name, k);
+        let end = (start + duration).max(gate + boundary);
+        if let Some(trace) = &mut self.trace {
+            trace.push(TraceSpan {
+                device: s.device,
+                stream: s.index,
+                name: boundary_name.to_string(),
+                kind: k,
+                start: ie.max(gate),
+                end,
+            });
+        }
+        *self.clock_mut(s) = end;
+        end
+    }
+
+    /// Consult the fault injector (if any) for one kernel launch of length
+    /// `duration` on `s`. `Ok` carries when the successful attempt may
+    /// start (after any recovered failed attempts and their backoff);
+    /// `Err` the `(start, end)` span of an escaped fault's failed episode,
+    /// with the stream clock already advanced past it.
+    fn kernel_attempts(
+        &mut self,
+        s: StreamId,
+        earliest: SimTime,
+        duration: SimTime,
+        name: &str,
+    ) -> std::result::Result<SimTime, (SimTime, SimTime)> {
+        let Some(inj) = self.injector.clone() else {
+            return Ok(earliest);
+        };
+        let policy = inj.policy();
+        let first = self.now(s).max(earliest);
+        match inj.observe(s.device, FaultSiteKind::Kernel) {
+            FaultVerdict::Clean => Ok(earliest),
+            FaultVerdict::Recovered { failed_attempts } => {
+                Ok(self.faulty_attempts(s, first, duration, name, failed_attempts, policy.backoff))
+            }
+            FaultVerdict::Escaped { failed_attempts } => {
+                // All attempts fail; no successful span. The last backoff
+                // gap is not paid (there is no re-attempt).
+                let ready =
+                    self.faulty_attempts(s, first, duration, name, failed_attempts, policy.backoff);
+                let last_gap = 1u64 << failed_attempts.saturating_sub(1).min(16);
+                let end = ready - SimTime::from_us(policy.backoff.as_us() * last_gap as f64);
+                *self.clock_mut(s) = end;
+                Err((first, end))
             }
         }
-        self.enqueue_from_clean(s, earliest, duration, name, kind)
     }
 
     /// [`QueueSim::enqueue_from`] without the fault-injection consult.
@@ -961,6 +1003,42 @@ mod tests {
         assert_eq!(faults.len(), 2);
         assert_eq!(faults[0].start.as_us(), 10.0);
         assert_eq!(faults[1].start.as_us(), 25.0);
+    }
+
+    #[test]
+    fn split_kernel_is_one_launch_and_never_slower_than_unsplit() {
+        use crate::fault::{FaultInjector, FaultPlan, RetryPolicy};
+        let d = SimTime::from_us(10.0);
+        let b = SimTime::from_us(3.0);
+        let early = SimTime::from_us(5.0);
+        let mut q = QueueSim::new(1, 1);
+        q.enable_trace();
+        // Gate passed before the interior ends: same end as one launch.
+        let e = q.enqueue_split_kernel(s(0, 0), SimTime::ZERO, early, (d, b), ("int", "bnd"));
+        assert_eq!(e, d);
+        // Gate later: the boundary share runs after it.
+        let e = q.enqueue_split_kernel(s(0, 0), e, SimTime::from_us(30.0), (d, b), ("i", "b"));
+        assert_eq!(e.as_us(), 33.0);
+        assert_eq!(q.trace().unwrap().spans().len(), 4);
+
+        // The pair is one fault site: the second observation on the
+        // device is the plain launch after it, and a recovered fault
+        // re-runs the whole split launch (10) plus backoff (5) first.
+        let plan = FaultPlan::none().with_kernel_fault(0, DeviceId(0), 1, 1);
+        let policy = RetryPolicy {
+            max_attempts: 3,
+            backoff: SimTime::from_us(5.0),
+        };
+        let inj = FaultInjector::new(plan, policy, 1);
+        inj.begin_iteration(0).unwrap();
+        let mut q = QueueSim::new(1, 1);
+        q.set_fault_injector(Some(inj.clone()));
+        let e = q.enqueue_split_kernel(s(0, 0), SimTime::ZERO, early, (d, b), ("int", "bnd"));
+        assert_eq!(e, d);
+        assert_eq!(inj.stats().recovered, 0);
+        let (start, _) = q.enqueue(s(0, 0), d, "k", SpanKind::Kernel);
+        assert_eq!(start.as_us(), 25.0);
+        assert_eq!(inj.stats().recovered, 1);
     }
 
     #[test]

@@ -35,6 +35,9 @@ cargo run --release -p neon-bench --bin repro_serve -- --smoke
 echo "==> hierarchical smoke (bit-identical, >=20% win on [2,2]x16MiB, fewer slow-link bytes, chunk-events never loses)"
 cargo run --release -p neon-bench --bin repro_hierarchical -- --smoke
 
+echo "==> collectives smoke (2-dev 8 B NVLink all-reduce <= 1.05x link latency, auto never slower on NVLink up to one chunk)"
+cargo run --release -p neon-bench --bin repro_collectives -- --smoke
+
 echo "==> degraded-link smoke (transient overhead <= 10%, link repairs bit-transparent, split reroutes flat, straggler rebalance wins)"
 cargo run --release -p neon-bench --bin repro_degraded -- --smoke
 
