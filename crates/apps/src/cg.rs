@@ -256,23 +256,6 @@ impl<G: GridLike> CgSolver<G> {
         self.iter.fault_stats()
     }
 
-    /// Reset the cumulative hardware counters of both skeletons (between
-    /// benchmark sweep points). Global — prefer
-    /// [`CgSolver::counters_snapshot`] when other jobs share the process.
-    pub fn reset_counters(&mut self) {
-        self.init.reset_counters();
-        self.iter.reset_counters();
-    }
-
-    /// Snapshot the cumulative utilization counters of both skeletons
-    /// (init + iteration), summed. Subtract two snapshots to attribute a
-    /// window of work to its tenant without a global reset.
-    pub fn counters_snapshot(&self) -> neon_sys::CounterSnapshot {
-        let mut total = self.init.counters_snapshot();
-        total.accumulate(&self.iter.counters_snapshot());
-        total
-    }
-
     /// Current residual norm.
     pub fn residual(&self) -> f64 {
         self.state.residual_norm()

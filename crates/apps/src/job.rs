@@ -9,21 +9,18 @@
 //! next iteration yet — which is why a multiplexed run stays bit-identical
 //! to a solo run of the same job.
 //!
-//! Two more capabilities make the handles schedulable under faults:
+//! Recovery comes through [`neon_core::Recoverable`]: checkpoint/restore at
+//! iteration boundaries (a quantum aborted by a device loss rolls back to
+//! its start), a fallible single step, and a rebuild onto a different
+//! backend that moves state through logical coordinates — so the
+//! [`neon_core::Supervisor`] gives every job retry, rollback, link repair
+//! and eviction.
 //!
-//! * **recovery** through [`neon_core::Recoverable`]: checkpoint/restore at
-//!   iteration boundaries (a quantum aborted by a device loss rolls back to
-//!   its start), a fallible single step, and a rebuild onto a different
-//!   backend that moves state through logical coordinates — so the
-//!   [`neon_core::Supervisor`] gives every job retry, rollback, link repair
-//!   and eviction;
-//! * **counter deltas** ([`SolverJob::counters`]) that survive rebuilds, so
-//!   per-tenant accounting can slice shared [`neon_sys::QueueSim`] counters
-//!   without a global reset.
-//!
-//! Setup work (CG initialization) is charged to the first
-//! [`SolverJob::advance`] report, so serving throughput numbers include it
-//! (a supervised [`neon_core::Recoverable::try_step`] reports the iteration
+//! A job's traffic is what [`SolverJob::advance`] reports
+//! ([`ExecReport::counters`]), so it needs no bookkeeping across rebuilds.
+//! Setup work (CG initialization) is charged to the first `advance`
+//! report — its time and its traffic — so serving numbers include it (a
+//! supervised [`neon_core::Recoverable::try_step`] reports the iteration
 //! alone); rebuild cost after a device loss is *not* modelled on the
 //! virtual clock (recompilation is host-side work).
 
@@ -32,7 +29,7 @@ use neon_domain::{DenseGrid, Dim3, Stencil, StorageMode};
 use neon_set::Checkpoint;
 use std::hash::Hasher as _;
 
-use neon_sys::{Backend, CounterSnapshot, NeonSysError, Result, StableHasher};
+use neon_sys::{Backend, NeonSysError, Result, StableHasher};
 
 use crate::lbm::{LbmParams, LidDrivenCavity};
 use crate::poisson::PoissonSolver;
@@ -127,10 +124,6 @@ pub trait SolverJob: Recoverable {
     /// Install a fault plan on the job's executors (dropped by the next
     /// [`Recoverable::rebuild`]).
     fn install_fault_plan(&mut self, plan: FaultPlan);
-
-    /// Cumulative utilization of this job across its whole life, including
-    /// executors discarded by rebuilds.
-    fn counters(&self) -> CounterSnapshot;
 }
 
 /// Deterministic right-hand side: a pure function of logical coordinates
@@ -157,10 +150,8 @@ pub struct PoissonJob {
     /// Residual bits after each committed iteration (truncated on restore);
     /// its length is the iteration counter.
     residual_bits: Vec<u64>,
-    /// Setup (cg-init) virtual time, folded into the first advance report.
+    /// Setup (cg-init) report, folded into the first advance report.
     pending_setup: ExecReport,
-    /// Counters of executors discarded by past rebuilds.
-    base_counters: CounterSnapshot,
 }
 
 impl PoissonJob {
@@ -183,7 +174,6 @@ impl PoissonJob {
             total: iters,
             residual_bits: Vec::new(),
             pending_setup: setup,
-            base_counters: CounterSnapshot::default(),
         })
     }
 
@@ -238,8 +228,6 @@ impl Recoverable for PoissonJob {
     fn rebuild(&mut self, backend: &Backend) -> Result<()> {
         // Build first: a failed rebuild leaves the job untouched.
         let fresh = Self::build_solver(backend, self.dim, &self.options)?;
-        self.base_counters
-            .accumulate(&self.solver.counters_snapshot());
         // Partition boundaries moved; the logical (x, y, z) → value map did
         // not. `b` migrates too: it is read-only but still the problem.
         let old = &self.solver.cg.state;
@@ -307,12 +295,6 @@ impl SolverJob for PoissonJob {
     fn install_fault_plan(&mut self, plan: FaultPlan) {
         self.solver.cg.iteration_skeleton().install_fault_plan(plan);
     }
-
-    fn counters(&self) -> CounterSnapshot {
-        let mut total = self.base_counters;
-        total.accumulate(&self.solver.counters_snapshot());
-        total
-    }
 }
 
 /// D3Q19 lid-driven cavity as a resumable job.
@@ -322,7 +304,6 @@ pub struct LbmJob {
     options: SkeletonOptions,
     app: LidDrivenCavity<DenseGrid>,
     total: u64,
-    base_counters: CounterSnapshot,
 }
 
 impl LbmJob {
@@ -343,7 +324,6 @@ impl LbmJob {
             options,
             app,
             total: iters,
-            base_counters: CounterSnapshot::default(),
         })
     }
 
@@ -382,7 +362,6 @@ impl Recoverable for LbmJob {
 
     fn rebuild(&mut self, backend: &Backend) -> Result<()> {
         let mut fresh = Self::build_app(backend, self.dim, &self.options)?;
-        self.base_counters.accumulate(&self.app.counters_snapshot());
         for q in 0..2 {
             let (src, dst) = (self.app.population(q), fresh.population(q));
             src.for_each(|x, y, z, comp, v| {
@@ -427,12 +406,6 @@ impl SolverJob for LbmJob {
     fn install_fault_plan(&mut self, plan: FaultPlan) {
         self.app.install_fault_plan(plan);
     }
-
-    fn counters(&self) -> CounterSnapshot {
-        let mut total = self.base_counters;
-        total.accumulate(&self.app.counters_snapshot());
-        total
-    }
 }
 
 #[cfg(test)]
@@ -458,11 +431,11 @@ mod tests {
         let r = job.advance(2);
         assert_eq!(job.completed(), 2);
         assert_eq!(r.executions, 3, "cg-init + two iterations");
+        assert!(r.counters.kernel_launches > 0);
         let r = job.advance(100);
         assert_eq!(job.completed(), 5);
         assert_eq!(r.executions, 3);
         assert!(job.is_done());
-        assert!(job.counters().kernel_launches > 0);
     }
 
     #[test]
@@ -538,7 +511,7 @@ mod tests {
             a.advance(3);
             a.rebuild(&one).unwrap();
             assert_eq!(a.num_devices(), 1);
-            a.advance(3);
+            assert!(a.advance(3).counters.kernel_launches > 0);
 
             let other_one = fleet.with_devices(&[DeviceId(2)]).unwrap();
             let mut b = spec.build(&two, options()).unwrap();
@@ -550,7 +523,6 @@ mod tests {
                 b.result_bits(),
                 "migration oracle {spec:?}"
             );
-            assert!(a.counters().kernel_launches > 0);
         }
     }
 }

@@ -287,25 +287,6 @@ impl<G: GridLike> LidDrivenCavity<G> {
         &mut self.skeletons[0]
     }
 
-    /// Reset the cumulative hardware counters of both ping-pong skeletons
-    /// (between benchmark warm-up and measurement, or between sweep
-    /// points). Global — prefer [`LidDrivenCavity::counters_snapshot`]
-    /// when other jobs share the process.
-    pub fn reset_counters(&mut self) {
-        for s in &mut self.skeletons {
-            s.reset_counters();
-        }
-    }
-
-    /// Snapshot the cumulative utilization counters of both ping-pong
-    /// skeletons, summed; subtract two snapshots to attribute a window of
-    /// steps without a global reset.
-    pub fn counters_snapshot(&self) -> neon_sys::CounterSnapshot {
-        let mut total = self.skeletons[0].counters_snapshot();
-        total.accumulate(&self.skeletons[1].counters_snapshot());
-        total
-    }
-
     /// Completed time steps (the ping-pong parity: even steps read `f0`,
     /// odd steps read `f1`).
     pub fn step_index(&self) -> usize {

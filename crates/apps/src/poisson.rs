@@ -90,17 +90,6 @@ impl<G: GridLike> PoissonSolver<G> {
         self.cg.iterate(n)
     }
 
-    /// Reset cumulative hardware counters (between benchmark sweeps).
-    pub fn reset_counters(&mut self) {
-        self.cg.reset_counters();
-    }
-
-    /// Snapshot the cumulative utilization counters (init + iteration
-    /// skeletons); see [`CgSolver::counters_snapshot`].
-    pub fn counters_snapshot(&self) -> neon_sys::CounterSnapshot {
-        self.cg.counters_snapshot()
-    }
-
     /// Residual norm ‖b − A·x‖.
     pub fn residual(&self) -> f64 {
         self.cg.residual()

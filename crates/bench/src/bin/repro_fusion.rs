@@ -30,7 +30,7 @@ use neon_apps::PoissonSolver;
 use neon_bench::render_table;
 use neon_core::{FusionLevel, OccLevel, SkeletonOptions};
 use neon_domain::{DenseGrid, Dim3, Stencil, StorageMode};
-use neon_sys::Backend;
+use neon_sys::{Backend, CounterSnapshot};
 
 const NDEV: usize = 4;
 
@@ -99,29 +99,18 @@ fn run_config(fusion: FusionLevel, label: &'static str, dim: usize, iters: usize
 
     // Warm up (compile, fault in partitions), then reset to the same
     // starting state so both configurations integrate the same system.
-    // The measured window is metered with counter-snapshot deltas, not a
-    // global reset — the queue counters are shared, cumulative state.
     solver.solve_iters(3);
     solver.set_rhs(rhs);
-    let before = solver.counters_snapshot();
 
     let mut residual_bits = Vec::with_capacity(iters);
-    let mut launches = 0u64;
-    let mut bytes_moved = 0u64;
+    let mut counters = CounterSnapshot::default();
     let t0 = Instant::now();
     for _ in 0..iters {
-        let report = solver.solve_iters(1);
-        launches += report.launches;
-        bytes_moved += report.bytes_moved;
+        counters.accumulate(&solver.solve_iters(1).counters);
         // rs_old holds ‖r‖² of the iteration that just completed.
         residual_bits.push(solver.cg.state.rs_old.host_value().to_bits());
     }
     let wall = t0.elapsed();
-    // Cross-check the two accounting paths over the same window: the
-    // queue-counter delta must agree with the summed per-call reports.
-    let window = solver.counters_snapshot() - before;
-    assert_eq!(window.kernel_launches, launches, "window delta drifted");
-    assert_eq!(window.kernel_bytes_moved, bytes_moved, "byte delta drifted");
 
     let cells = (dim * dim * dim) as f64;
     let wall_s = wall.as_secs_f64();
@@ -129,8 +118,8 @@ fn run_config(fusion: FusionLevel, label: &'static str, dim: usize, iters: usize
         label,
         wall_ms: wall_s * 1e3,
         mlups: cells * iters as f64 / wall_s / 1e6,
-        launches,
-        bytes_moved,
+        launches: counters.kernel_launches,
+        bytes_moved: counters.kernel_bytes_moved,
         residual_bits,
         final_residual: solver.residual(),
     }

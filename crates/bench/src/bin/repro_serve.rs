@@ -287,10 +287,10 @@ fn main() {
                     format!("{}", t.jobs_completed),
                     format!("{}", t.jobs_shed),
                     format!("{}", t.iterations),
-                    format!("{}", t.launches),
-                    format!("{:.1}", t.bytes_moved as f64 / 1e6),
+                    format!("{}", t.counters.kernel_launches),
+                    format!("{:.1}", t.counters.kernel_bytes_moved as f64 / 1e6),
                     format!("{:.0}", t.device_busy_us),
-                    format!("{:.0}", t.link_busy_us),
+                    format!("{:.0}", t.counters.link_busy.as_us()),
                     format!("{:.0}", t.queue_wait_us),
                 ]);
             }

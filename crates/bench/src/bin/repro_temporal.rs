@@ -110,9 +110,9 @@ fn run_config(ndev: usize, dim: Dim3, fusion: FusionLevel, k: usize) -> Temporal
         k,
         engaged: ipe > 1,
         us_per_iter: report.makespan.as_us() / ITERS as f64,
-        halo_rounds: report.halo_rounds,
-        redundant_flops: report.redundant_flops,
-        launches: report.launches,
+        halo_rounds: report.counters.halo_rounds,
+        redundant_flops: report.counters.redundant_flops,
+        launches: report.counters.kernel_launches,
         bits,
     }
 }

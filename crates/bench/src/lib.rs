@@ -57,15 +57,7 @@ pub fn lbm_cavity_iter_time(backend: &Backend, n: usize, occ: OccLevel, iters: u
         .expect("grid construction");
     let mut app = LidDrivenCavity::new(&g, LbmParams::default(), occ).expect("field allocation");
     app.init();
-    // Meter only the measured window with snapshot deltas — the queue
-    // counters are cumulative and shared, so a global reset here would
-    // clobber any other user of the same simulators (the serving layer
-    // accounts per-tenant exactly this way).
-    let before = app.counters_snapshot();
-    let r = app.step(iters);
-    let window = app.counters_snapshot() - before;
-    debug_assert_eq!(window.kernel_launches, r.launches);
-    r.time_per_execution()
+    app.step(iters).time_per_execution()
 }
 
 /// Per-iteration virtual time of the Poisson CG solver on a virtual grid.

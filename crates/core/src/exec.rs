@@ -43,16 +43,15 @@ use std::time::Duration;
 
 use neon_comm::{CollectiveEngine, CollectiveKind, EngineConfig};
 use neon_sys::{
-    Backend, DeviceId, FaultInjector, FaultPlan, FaultSite, FaultSiteKind, FaultStats,
-    FaultVerdict, PermanentFault, QueueSim, RetryPolicy, SimTime, SpanKind, StreamId, Trace,
-    WorkerPool,
+    Backend, CounterSnapshot, DeviceId, FaultInjector, FaultPlan, FaultSite, FaultSiteKind,
+    FaultStats, FaultVerdict, PermanentFault, QueueSim, RetryPolicy, SimTime, SpanKind, StreamId,
+    Trace, WorkerPool,
 };
 
-use crate::collective::CollectiveMode;
 use crate::devplan::{DevAction, DevicePlan};
 use crate::graph::{Graph, NodeKind};
 use crate::plan::CompiledPlan;
-use crate::schedule::Schedule;
+use crate::skeleton::SkeletonOptions;
 
 /// How halo coherency is realized (paper §IV-C2).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -226,20 +225,14 @@ pub struct ExecReport {
     pub host_time: SimTime,
     /// Total collective-communication busy time over all lanes.
     pub collective_time: SimTime,
-    /// Kernel launches enqueued (one per compute node per device with a
-    /// non-empty partition; fusion shrinks this).
-    pub launches: u64,
-    /// Bytes swept by those kernels (cells × the container's per-cell
-    /// bytes, summed over launches; fused reads of just-written fields
-    /// count zero).
-    pub bytes_moved: u64,
-    /// FLOPs spent recomputing ghost cells another device owns (temporal
-    /// blocking's overlapped tiling; zero without a super-step).
-    pub redundant_flops: u64,
-    /// Halo-exchange rounds executed (one per halo node per execution,
-    /// whatever its depth — temporal blocking trades `k` depth-`r` rounds
-    /// for one depth-`k·r` round).
-    pub halo_rounds: u64,
+    /// The traffic of these executions: the virtual clock's counter delta
+    /// over each one ([`neon_sys::QueueSim::counters_snapshot`]). Kernel
+    /// launches are one per compute node per device with a non-empty
+    /// partition (fusion shrinks them); swept bytes count fused reads of
+    /// just-written fields as zero; redundant flops are ghost cells a
+    /// temporal super-step recomputes; halo rounds are one per halo node
+    /// per execution, whatever its depth.
+    pub counters: CounterSnapshot,
     /// Number of executions aggregated.
     pub executions: u64,
 }
@@ -253,10 +246,7 @@ impl ExecReport {
         self.transfer_time += other.transfer_time;
         self.host_time += other.host_time;
         self.collective_time += other.collective_time;
-        self.launches += other.launches;
-        self.bytes_moved += other.bytes_moved;
-        self.redundant_flops += other.redundant_flops;
-        self.halo_rounds += other.halo_rounds;
+        self.counters.accumulate(&other.counters);
         self.executions += other.executions;
     }
 
@@ -381,7 +371,6 @@ pub struct Executor {
     kernel_concurrency: bool,
     halo_policy: HaloPolicy,
     engine: CollectiveEngine,
-    collective_mode: CollectiveMode,
     /// Precomputed `("<name>:int", "<name>:bnd")` span labels per compute
     /// node, built when the plan was compiled under
     /// [`CommMode::ChunkEvents`] so the split replay formats nothing per
@@ -438,21 +427,25 @@ pub struct Executor {
 }
 
 impl Executor {
-    /// Build an executor over an already-built graph and schedule
-    /// (compatibility path; the skeleton uses [`Executor::from_plan`]).
-    pub fn new(backend: Backend, graph: Graph, schedule: Schedule) -> Self {
-        Self::from_plan(backend, CompiledPlan::from_parts(graph, schedule))
-    }
-
-    /// Build an executor over a shared compiled plan. Functional execution
-    /// is enabled iff every compute node's iteration space has real
-    /// storage.
-    pub fn from_plan(backend: Backend, plan: Arc<CompiledPlan>) -> Self {
+    /// Build an executor over a shared compiled plan, taking its runtime
+    /// knobs (kernel concurrency, halo policy, collective mode, functional
+    /// mode, tracing) from `options`. Functional execution is enabled iff
+    /// every compute node's iteration space has real storage.
+    pub fn from_plan(backend: Backend, plan: Arc<CompiledPlan>, options: &SkeletonOptions) -> Self {
         let compute_streams = plan.schedule().num_streams;
         // lanes: [0, compute_streams) kernels, +0/+1 transfers, +2 host,
         // +3 collectives.
-        let queue = QueueSim::new(backend.num_devices(), compute_streams + 4);
-        let engine = CollectiveEngine::new(backend.topology().clone());
+        let mut queue = QueueSim::new(backend.num_devices(), compute_streams + 4);
+        if options.trace {
+            queue.enable_trace();
+        }
+        let engine = CollectiveEngine::with_config(
+            backend.topology().clone(),
+            EngineConfig {
+                algorithm: options.collectives.fixed_algorithm(),
+                ..EngineConfig::default()
+            },
+        );
         let functional = plan.graph().nodes().iter().all(|n| match &n.kind {
             NodeKind::Compute { container, .. } => container
                 .space()
@@ -498,11 +491,10 @@ impl Executor {
             queue,
             compute_streams,
             functional,
-            functional_mode: FunctionalMode::default(),
-            kernel_concurrency: false,
-            halo_policy: HaloPolicy::ExplicitTransfers,
+            functional_mode: options.functional_mode,
+            kernel_concurrency: options.kernel_concurrency,
+            halo_policy: options.halo_policy,
             engine,
-            collective_mode: CollectiveMode::default(),
             split_names,
             devplan,
             pool: None,
@@ -528,47 +520,17 @@ impl Executor {
         &self.plan
     }
 
-    /// Select the halo coherency model (see [`HaloPolicy`]).
-    pub fn set_halo_policy(&mut self, policy: HaloPolicy) {
-        self.halo_policy = policy;
-    }
-
-    /// Select how collective nodes pick their algorithm (default:
-    /// [`CollectiveMode::Auto`]).
-    pub fn set_collective_mode(&mut self, mode: CollectiveMode) {
-        self.collective_mode = mode;
-        self.engine = CollectiveEngine::with_config(
-            self.backend.topology().clone(),
-            EngineConfig {
-                algorithm: mode.fixed_algorithm(),
-                ..EngineConfig::default()
-            },
-        );
-    }
-
     /// The virtual-clock simulator (link utilization counters live here).
     pub fn queue(&self) -> &QueueSim {
         &self.queue
     }
 
-    /// Snapshot the simulator's cumulative utilization counters
-    /// ([`neon_sys::CounterSnapshot`]). Two snapshots bracketing a window of
-    /// executions subtract to that window's own traffic — the race-free
-    /// alternative to [`Executor::reset_counters`] under multi-tenancy.
-    pub fn counters_snapshot(&self) -> neon_sys::CounterSnapshot {
+    /// Snapshot the simulator's cumulative utilization counters. Two
+    /// snapshots bracketing a window of executions subtract to that
+    /// window's own traffic; each [`ExecReport::counters`] is exactly that
+    /// delta over one execution.
+    pub fn counters_snapshot(&self) -> CounterSnapshot {
         self.queue.counters_snapshot()
-    }
-
-    /// Let kernels of different streams run concurrently at full modelled
-    /// bandwidth each.
-    ///
-    /// Off by default: the applications here are memory-bound, and a real
-    /// GPU's bandwidth is shared between concurrent kernels, so the
-    /// faithful model serializes a device's kernels on one lane (transfers
-    /// keep their own DMA lanes). Enabling this reproduces the unphysical
-    /// super-linear efficiencies the ablation demonstrates.
-    pub fn set_kernel_concurrency(&mut self, on: bool) {
-        self.kernel_concurrency = on;
     }
 
     /// Whether kernels actually run on data (vs. timing-only).
@@ -655,18 +617,6 @@ impl Executor {
         self.logical_iteration
     }
 
-    /// Zero the queue's cumulative utilization counters (see
-    /// [`neon_sys::QueueSim::reset_counters`]); benchmarks call this
-    /// between sweep configurations.
-    pub fn reset_counters(&mut self) {
-        self.queue.reset_counters();
-    }
-
-    /// Enable span recording on the virtual clock.
-    pub fn enable_trace(&mut self) {
-        self.queue.enable_trace();
-    }
-
     /// Take the recorded trace (if tracing was enabled).
     pub fn take_trace(&mut self) -> Option<Trace> {
         self.queue.take_trace()
@@ -707,6 +657,7 @@ impl Executor {
         // queue (and scratch) are mutated — nothing inside is copied.
         let plan = Arc::clone(&self.plan);
         let t0 = self.queue.makespan();
+        let counters0 = self.queue.counters_snapshot();
         let iteration = self.logical_iteration;
         if let Some(inj) = &self.injector {
             if let Err(fault) = inj.begin_iteration(iteration) {
@@ -731,6 +682,8 @@ impl Executor {
         // measure cleanly (a zero-cost barrier on the virtual clock).
         let end = self.queue.sync_all();
         report.makespan = end - t0;
+        let counters = self.queue.counters_snapshot();
+        report.counters = counters - counters0;
         if self.queue.trace().is_some() {
             let topo = self.backend.topology();
             let stats: Vec<(String, f64, u64)> = (0..topo.num_link_resources())
@@ -742,17 +695,13 @@ impl Executor {
                     )
                 })
                 .collect();
-            let (launches, kernel_bytes) = (
-                self.queue.kernel_launches(),
-                self.queue.kernel_bytes_moved(),
-            );
             if let Some(trace) = self.queue.trace_mut() {
                 for (name, busy, contended) in stats {
                     trace.set_counter(&format!("link:{name}:busy_us"), busy);
                     trace.set_counter(&format!("link:{name}:contended"), contended as f64);
                 }
-                trace.set_counter("kernel:launches", launches as f64);
-                trace.set_counter("kernel:bytes_moved", kernel_bytes as f64);
+                trace.set_counter("kernel:launches", counters.kernel_launches as f64);
+                trace.set_counter("kernel:bytes_moved", counters.kernel_bytes_moved as f64);
             }
         }
         if let Some(site) = escape {
@@ -947,9 +896,6 @@ impl Executor {
                         };
                         report.kernel_time += dur;
                         dev_kernel[d] += dur;
-                        report.launches += 1;
-                        report.bytes_moved += bytes;
-                        report.redundant_flops += redundant;
                         self.queue.record_launch(bytes);
                         if redundant > 0 {
                             self.queue.record_redundant_flops(redundant);
@@ -971,7 +917,6 @@ impl Executor {
                     }
                 }
                 NodeKind::Halo { .. } => {
-                    report.halo_rounds += 1;
                     self.queue.record_halo_round();
                     // lanes = [constraint | into | from], each `ndev` wide.
                     let mut lanes = std::mem::take(&mut self.lane_scratch);

@@ -7,9 +7,9 @@
 //!
 //! * records per-pass wall-clock timings ([`PassTiming`]) and mirrors them
 //!   as [`neon_sys::SpanKind::Compile`] trace spans,
-//! * runs the [`crate::validate`] invariant checker between passes (when
-//!   `SkeletonOptions::validate` is on), so a broken transform fails at the
-//!   pass that broke it rather than as a wrong answer at execution time,
+//! * runs the [`crate::validate`] invariant checker between passes, so a
+//!   broken transform fails at the pass that broke it rather than as a
+//!   wrong answer at execution time,
 //! * emits a deterministic text dump of the IR after each pass (when
 //!   `SkeletonOptions::dump_ir` is on, or the `NEON_DUMP_IR` environment
 //!   variable is set, which prints to stderr).
@@ -353,6 +353,9 @@ impl Pass for CollectivePass {
     }
 }
 
+/// Cap on concurrent compute streams per device.
+const MAX_STREAMS: usize = 8;
+
 /// Maps nodes to streams, organizes events and fixes the enqueue order
 /// (paper §V-C).
 pub struct SchedulePass;
@@ -363,7 +366,7 @@ impl Pass for SchedulePass {
     }
     fn run(&self, ir: &mut Ir, cx: &PassCtx) {
         let max_streams = if cx.backend.concurrent_kernels() {
-            cx.options.max_streams
+            MAX_STREAMS
         } else {
             1 // the CPU back end runs one kernel at a time (paper §IV-A)
         };
@@ -437,10 +440,9 @@ impl PassManager {
 
     /// Run every pass over `ir`.
     ///
-    /// After each pass the invariant validator runs (if
-    /// `cx.options.validate`) and an IR dump is captured (if
-    /// `cx.options.dump_ir`) or printed to stderr (if `NEON_DUMP_IR` is set
-    /// in the environment).
+    /// After each pass the invariant validator runs and an IR dump is
+    /// captured (if `cx.options.dump_ir`) or printed to stderr (if
+    /// `NEON_DUMP_IR` is set in the environment).
     pub fn run(&self, ir: &mut Ir, cx: &PassCtx) -> Result<CompileLog, CompileError> {
         let env_dump = std::env::var_os("NEON_DUMP_IR").is_some();
         let mut log = CompileLog::default();
@@ -462,18 +464,16 @@ impl PassManager {
                 end: SimTime::from_us(clock_us + wall_us),
             });
             clock_us += wall_us;
-            if cx.options.validate {
-                validate_ir(
-                    &ir.graph,
-                    ir.schedule.as_ref(),
-                    cx.backend.num_devices(),
-                    ir.halos_inserted,
-                )
-                .map_err(|error| CompileError::Invariant {
-                    pass: pass.name(),
-                    error,
-                })?;
-            }
+            validate_ir(
+                &ir.graph,
+                ir.schedule.as_ref(),
+                cx.backend.num_devices(),
+                ir.halos_inserted,
+            )
+            .map_err(|error| CompileError::Invariant {
+                pass: pass.name(),
+                error,
+            })?;
             if cx.options.dump_ir || env_dump {
                 let dump = ir.dump();
                 if env_dump {

@@ -15,7 +15,7 @@
 //! * the **backend fingerprint** ([`neon_sys::Backend::fingerprint`]) —
 //!   device models plus topology;
 //! * the **options signature** — every [`SkeletonOptions`] field that
-//!   shapes the graph or schedule (`trace` and `validate` don't).
+//!   shapes the graph or schedule (`trace` and `functional_mode` don't).
 //!
 //! On a hit the cached plan is *rebound*: node containers are swapped by
 //! provenance index, halo exchanges and edge data uids are remapped via
@@ -30,7 +30,7 @@ use neon_set::{sequence_signature, uid_roles, Container, DataUid, HaloDescriptor
 use neon_sys::{stable_hash_of, Backend, StableHasher, Trace};
 
 use crate::collective::CollectiveMode;
-use crate::devplan::{build_device_plan, build_device_plan_policy, DevicePlan};
+use crate::devplan::{build_device_plan_policy, DevicePlan};
 use crate::exec::{CommMode, HaloPolicy};
 use crate::fuse::FusionLevel;
 use crate::graph::{Edge, Graph, Node, NodeId, NodeKind};
@@ -127,30 +127,6 @@ impl CompiledPlan {
             .max()
             .unwrap_or(1)
     }
-
-    /// Wrap an already-built graph and schedule (no containers, no
-    /// dependency graph, no timings). This is the compatibility path for
-    /// [`crate::exec::Executor::new`]; skeleton-built plans carry the full
-    /// state.
-    pub fn from_parts(graph: Graph, schedule: Schedule) -> Arc<CompiledPlan> {
-        let data_parents = precompute_parents(&graph);
-        // No backend here: infer the device count from the graph itself.
-        let ndev = infer_ndev(&graph);
-        let device_plan = Arc::new(build_device_plan(&graph, &schedule, &data_parents, ndev));
-        let halo_descs = precompute_halo_descs(&graph);
-        Arc::new(CompiledPlan {
-            containers: Vec::new(),
-            dependency_graph: Graph::new(),
-            graph,
-            schedule: Arc::new(schedule),
-            device_plan,
-            data_parents,
-            halo_descs,
-            timings: Vec::new(),
-            dumps: Vec::new(),
-            compile_trace: Trace::new(),
-        })
-    }
 }
 
 fn precompute_parents(g: &Graph) -> Vec<Vec<NodeId>> {
@@ -172,24 +148,6 @@ fn precompute_halo_descs(g: &Graph) -> Vec<Vec<neon_set::HaloDescriptor>> {
             _ => Vec::new(),
         })
         .collect()
-}
-
-/// Largest device index referenced by the graph, for the compatibility
-/// path that wraps a bare graph + schedule without a backend in hand.
-fn infer_ndev(g: &Graph) -> usize {
-    let mut n = 1usize;
-    for node in g.nodes() {
-        match &node.kind {
-            NodeKind::Compute { container, .. } => n = n.max(container.num_devices()),
-            NodeKind::Halo { exchange } => {
-                for d in exchange.descriptors() {
-                    n = n.max(d.src.0 + 1).max(d.dst.0 + 1);
-                }
-            }
-            _ => {}
-        }
-    }
-    n
 }
 
 /// Cache key of a compiled plan.
@@ -216,17 +174,32 @@ impl PlanKey {
 }
 
 /// Hash every option that shapes the compiled graph or schedule. `trace`,
-/// `validate`, `cache`, `functional_mode` and `resilience` are
-/// diagnostics/runtime policy — same plan either way.
+/// `cache`, `functional_mode` and `resilience` are diagnostics/runtime
+/// policy — same plan either way. The destructuring is exhaustive, so a
+/// new option does not compile until it is classified here.
 fn options_signature(o: &SkeletonOptions) -> u64 {
     use std::hash::Hasher as _;
+    let SkeletonOptions {
+        occ,
+        hints,
+        kernel_concurrency,
+        halo_policy,
+        functional_mode: _,
+        trace: _,
+        fusion,
+        collectives,
+        comm,
+        cache: _,
+        dump_ir,
+        resilience: _,
+        layout,
+    } = *o;
     let mut h = StableHasher::new();
     let mut put = |v: u64| h.write_u64(v);
-    put(o.occ as u64);
-    put(o.max_streams as u64);
-    put(o.hints as u64);
-    put(o.kernel_concurrency as u64);
-    match o.halo_policy {
+    put(occ as u64);
+    put(hints as u64);
+    put(kernel_concurrency as u64);
+    match halo_policy {
         HaloPolicy::ExplicitTransfers => put(0),
         HaloPolicy::UnifiedMemory {
             page_bytes,
@@ -239,20 +212,20 @@ fn options_signature(o: &SkeletonOptions) -> u64 {
             put(bandwidth_gb_s.to_bits());
         }
     }
-    match o.collectives {
+    match collectives {
         CollectiveMode::Auto => put(2),
         CollectiveMode::Fixed(a) => {
             put(3);
             put(stable_hash_of(&format!("{a:?}")));
         }
     }
-    match o.comm {
+    match comm {
         CommMode::Epoch => put(200),
         // Chunk events change the device plan's event table (per-chunk
         // arrival slots), so the two modes must never alias in the cache.
         CommMode::ChunkEvents => put(201),
     }
-    match o.fusion {
+    match fusion {
         FusionLevel::Off => put(100),
         FusionLevel::Conservative => put(101),
         FusionLevel::Temporal(k) => {
@@ -260,8 +233,8 @@ fn options_signature(o: &SkeletonOptions) -> u64 {
             put(k as u64);
         }
     }
-    put(o.dump_ir as u64);
-    put(o.layout.signature_byte() as u64);
+    put(dump_ir as u64);
+    put(layout.signature_byte() as u64);
     h.finish()
 }
 
@@ -717,7 +690,6 @@ mod tests {
         let base = SkeletonOptions::default();
         let traced = SkeletonOptions {
             trace: true,
-            validate: false,
             functional_mode: crate::exec::FunctionalMode::Serial,
             resilience: crate::skeleton::ResilienceOptions {
                 enabled: true,
@@ -741,13 +713,6 @@ mod tests {
                 "occ",
                 SkeletonOptions {
                     occ: OccLevel::TwoWayExtended,
-                    ..base
-                },
-            ),
-            (
-                "max_streams",
-                SkeletonOptions {
-                    max_streams: 2,
                     ..base
                 },
             ),

@@ -125,8 +125,6 @@ pub struct SkeletonOptions {
     /// The OCC optimization level (a single switch, as the paper argues a
     /// system should offer — no best level exists for all configurations).
     pub occ: OccLevel,
-    /// Cap on concurrent compute streams per device.
-    pub max_streams: usize,
     /// Honour scheduling hints in the task ordering (ablation switch).
     pub hints: bool,
     /// Model concurrent kernels as each getting full bandwidth (ablation
@@ -162,9 +160,6 @@ pub struct SkeletonOptions {
     /// the paper's whole-node epochs. Shapes the device plan's event
     /// table, so it is part of the plan-cache key.
     pub comm: CommMode,
-    /// Run the invariant validator between compile passes (cheap on
-    /// app-sized graphs; turn off for huge synthetic sequences).
-    pub validate: bool,
     /// Consult the process-wide plan cache (same sequence shape + backend
     /// + options ⇒ reuse the compiled graph and schedule).
     pub cache: bool,
@@ -185,7 +180,6 @@ impl Default for SkeletonOptions {
     fn default() -> Self {
         SkeletonOptions {
             occ: OccLevel::Standard,
-            max_streams: 8,
             hints: true,
             kernel_concurrency: false,
             halo_policy: HaloPolicy::ExplicitTransfers,
@@ -194,7 +188,6 @@ impl Default for SkeletonOptions {
             fusion: FusionLevel::default(),
             collectives: CollectiveMode::Auto,
             comm: CommMode::ChunkEvents,
-            validate: true,
             cache: true,
             dump_ir: false,
             resilience: ResilienceOptions::default(),
@@ -259,14 +252,7 @@ impl Skeleton {
     ) -> Result<Self, CompileError> {
         options.resilience.validate()?;
         let (plan, from_cache) = plan::compile(backend, containers, options)?;
-        let mut executor = Executor::from_plan(backend.clone(), Arc::clone(&plan));
-        executor.set_kernel_concurrency(options.kernel_concurrency);
-        executor.set_halo_policy(options.halo_policy);
-        executor.set_collective_mode(options.collectives);
-        executor.set_functional_mode(options.functional_mode);
-        if options.trace {
-            executor.enable_trace();
-        }
+        let executor = Executor::from_plan(backend.clone(), Arc::clone(&plan), &options);
         Ok(Skeleton {
             name: name.to_string(),
             options,
@@ -414,17 +400,10 @@ impl Skeleton {
         &self.executor
     }
 
-    /// Zero the virtual clock's cumulative utilization counters (kernel
-    /// launches, bytes, link busy/contention); benchmarks call this
-    /// between sweep configurations. Prefer [`Skeleton::counters_snapshot`]
-    /// when other jobs may share the process — a reset is global.
-    pub fn reset_counters(&mut self) {
-        self.executor.reset_counters();
-    }
-
     /// Snapshot the cumulative utilization counters (see
     /// [`Executor::counters_snapshot`]); subtract two snapshots to slice out
-    /// one window's traffic without disturbing concurrent jobs.
+    /// one window's traffic. A run's own traffic is already in
+    /// [`ExecReport::counters`].
     pub fn counters_snapshot(&self) -> neon_sys::CounterSnapshot {
         self.executor.counters_snapshot()
     }

@@ -158,10 +158,10 @@ fn run_case(
         bits,
         s.dot_a.host_value(),
         s.dot_b.host_value(),
-        report.launches,
-        report.bytes_moved,
-        report.halo_rounds,
-        report.redundant_flops,
+        report.counters.kernel_launches,
+        report.counters.kernel_bytes_moved,
+        report.counters.halo_rounds,
+        report.counters.redundant_flops,
     )
 }
 

@@ -1,9 +1,12 @@
 //! Property tests of the pass pipeline: for randomized container
 //! sequences, the inter-pass validator accepts the IR at every OCC level,
-//! functional results are bit-identical across OCC levels, and a plan
+//! functional results are bit-identical across OCC levels, the virtual
+//! clock does not depend on the functional replay mode, and a plan
 //! rebound from the cache executes identically to a fresh compile.
 
-use neon_core::{validate_ir, FunctionalMode, HaloPolicy, OccLevel, Skeleton, SkeletonOptions};
+use neon_core::{
+    validate_ir, ExecReport, FunctionalMode, HaloPolicy, OccLevel, Skeleton, SkeletonOptions,
+};
 use neon_domain::{
     ops, Container, DenseGrid, Dim3, Field, FieldStencil as _, FieldWrite as _, GridLike,
     MemLayout, ScalarSet, Stencil, StorageMode,
@@ -117,13 +120,14 @@ fn build_sequence(s: &Setup, ops_list: &[Op]) -> Vec<Container> {
 /// Compile + run one randomized sequence, returning the full observable
 /// state: both fields (exact bits) and both reduction scalars.
 fn run_case(ops_list: &[Op], n_dev: usize, occ: OccLevel) -> (Vec<u64>, f64, f64) {
-    run_case_opts(
+    let (bits, a, b, _) = run_case_opts(
         ops_list,
         n_dev,
         occ,
         FunctionalMode::default(),
         HaloPolicy::ExplicitTransfers,
-    )
+    );
+    (bits, a, b)
 }
 
 fn run_case_opts(
@@ -132,7 +136,7 @@ fn run_case_opts(
     occ: OccLevel,
     mode: FunctionalMode,
     halo: HaloPolicy,
-) -> (Vec<u64>, f64, f64) {
+) -> (Vec<u64>, f64, f64, ExecReport) {
     let s = setup(n_dev);
     let seq = build_sequence(&s, ops_list);
     let mut sk = Skeleton::try_sequence(
@@ -148,14 +152,14 @@ fn run_case_opts(
     )
     .expect("validator must accept the pipeline's own output");
     // Validate the final IR once more from the outside (the pipeline
-    // already validated between passes because options.validate is on).
+    // already validated between passes).
     validate_ir(sk.graph(), Some(sk.schedule()), n_dev, true)
         .expect("final graph + schedule must satisfy all invariants");
-    sk.run();
+    let report = sk.run();
     let mut bits = Vec::new();
     s.x.for_each(|_, _, _, _, v| bits.push(v.to_bits()));
     s.y.for_each(|_, _, _, _, v| bits.push(v.to_bits()));
-    (bits, s.dot_a.host_value(), s.dot_b.host_value())
+    (bits, s.dot_a.host_value(), s.dot_b.host_value(), report)
 }
 
 fn op_sequences() -> impl Strategy<Value = Vec<Op>> {
@@ -193,7 +197,9 @@ proptest! {
     /// The event-driven parallel replay must be bit-identical to the serial reference walk for arbitrary
     /// sequences — across OCC levels, 1/2/4/8 devices, and both halo
     /// policies. The halo policy only shapes the virtual-clock replay, so
-    /// it appearing in a functional diff would itself be a bug.
+    /// it appearing in a functional diff would itself be a bug. Nor may
+    /// the replay mode reach the virtual clock: makespan and counters
+    /// must match too.
     #[test]
     fn parallel_replay_is_bit_identical_to_serial(
         ops_list in op_sequences(),
@@ -222,6 +228,12 @@ proptest! {
         );
         prop_assert_eq!(got.1, reference.1, "parallel replay changes dot a");
         prop_assert_eq!(got.2, reference.2, "parallel replay changes dot b");
+        prop_assert_eq!(
+            got.3.makespan.as_us().to_bits(),
+            reference.3.makespan.as_us().to_bits(),
+            "functional mode changes the virtual makespan"
+        );
+        prop_assert_eq!(got.3.counters, reference.3.counters, "functional mode changes counters");
     }
 }
 

@@ -184,8 +184,8 @@ fn run_case(
     CaseResult {
         bits,
         dot: s.dot_a.host_value(),
-        halo_rounds: report.halo_rounds,
-        redundant_flops: report.redundant_flops,
+        halo_rounds: report.counters.halo_rounds,
+        redundant_flops: report.counters.redundant_flops,
         iters_per_exec,
     }
 }

@@ -25,11 +25,10 @@
 //!    fleet share a backend fingerprint, so all tenants compile through
 //!    the *same* process-wide plan cache entry ([`ServeReport::cache_hits`]
 //!    counts the sharing).
-//! 4. **Per-tenant accounting** ([`TenantAccount`]) — kernel launches,
-//!    bytes moved and link-busy time are sliced out of the shared
-//!    simulator counters with [`neon_sys::CounterSnapshot`] deltas taken
-//!    at quantum boundaries; device-time and queue-wait come from the
-//!    event loop itself.
+//! 4. **Per-tenant accounting** ([`TenantAccount`]) — traffic is the sum
+//!    of the committed quanta's [`neon_core::ExecReport::counters`] (one
+//!    [`neon_sys::CounterSnapshot`] per tenant); device-time and
+//!    queue-wait come from the event loop itself.
 //!
 //! Faults compose with serving: a scheduled [`DeviceLoss`] kills a fleet
 //! device mid-run. In-flight quanta on that device roll back to their

@@ -128,7 +128,9 @@ struct Active {
     start: f64,
     end: f64,
     iters_delta: u64,
-    counters_before: CounterSnapshot,
+    /// The quantum's traffic (its `advance` report's counters), charged
+    /// to the tenant at commit.
+    counters: CounterSnapshot,
     /// Captured at quantum start iff a pending fault hits the quantum's
     /// devices; the abort path restores it.
     cp: Option<Checkpoint>,
@@ -385,9 +387,8 @@ impl Server {
                     let js = &mut jobs[a.widx];
                     let tenant = js.req.tenant;
                     let job = js.job.as_ref().expect("active job is built");
-                    let delta = job.counters() - a.counters_before;
                     let device_us = (a.end - a.start) * a.devices.len() as f64;
-                    accounts[tenant].commit(&delta, a.iters_delta, device_us);
+                    accounts[tenant].commit(&a.counters, a.iters_delta, device_us);
                     vtime[tenant] += device_us / self.tenants[tenant].weight;
                     waiting.retune(tenant, vtime[tenant]);
                     if job.is_done() {
@@ -616,7 +617,6 @@ impl Server {
             t.checkpoint_us += us;
             us
         });
-        let counters_before = job.counters();
         let iters_before = job.completed();
         let report = job.advance(span);
         let iters_delta = job.completed() - iters_before;
@@ -636,7 +636,7 @@ impl Server {
             start: clock,
             end,
             iters_delta,
-            counters_before,
+            counters: report.counters,
             cp,
         });
         true

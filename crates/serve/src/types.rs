@@ -189,8 +189,9 @@ impl JobOutcome {
     }
 }
 
-/// Per-tenant accounting, sliced out of the shared `QueueSim` / `ExecReport`
-/// counters with snapshot deltas.
+/// Per-tenant accounting: traffic is the sum of the tenant's committed
+/// quanta's [`neon_core::ExecReport::counters`]; time comes from the event
+/// loop.
 #[derive(Debug, Clone)]
 pub struct TenantAccount {
     /// Tenant name.
@@ -199,14 +200,11 @@ pub struct TenantAccount {
     pub weight: f64,
     /// Iterations committed across all the tenant's jobs.
     pub iterations: u64,
-    /// Kernel launches attributed to the tenant.
-    pub launches: u64,
-    /// Bytes swept by the tenant's kernels.
-    pub bytes_moved: u64,
+    /// Traffic of the tenant's committed quanta (setup executions
+    /// included; aborted quanta excluded).
+    pub counters: CounterSnapshot,
     /// Device-time consumed: Σ (quantum makespan × subset size), µs.
     pub device_busy_us: f64,
-    /// Link busy time attributed to the tenant, µs.
-    pub link_busy_us: f64,
     /// Device-time of quanta aborted by a device loss (rolled back, not
     /// counted in `device_busy_us`), µs.
     pub wasted_device_us: f64,
@@ -232,10 +230,8 @@ impl TenantAccount {
             name: spec.name.clone(),
             weight: spec.weight,
             iterations: 0,
-            launches: 0,
-            bytes_moved: 0,
+            counters: CounterSnapshot::default(),
             device_busy_us: 0.0,
-            link_busy_us: 0.0,
             wasted_device_us: 0.0,
             checkpoint_bytes: 0,
             checkpoint_us: 0.0,
@@ -245,11 +241,9 @@ impl TenantAccount {
         }
     }
 
-    pub(crate) fn commit(&mut self, delta: &CounterSnapshot, iterations: u64, device_us: f64) {
+    pub(crate) fn commit(&mut self, counters: &CounterSnapshot, iterations: u64, device_us: f64) {
         self.iterations += iterations;
-        self.launches += delta.kernel_launches;
-        self.bytes_moved += delta.kernel_bytes_moved;
-        self.link_busy_us += delta.link_busy.as_us();
+        self.counters.accumulate(counters);
         self.device_busy_us += device_us;
     }
 }

@@ -7,7 +7,7 @@ use neon_core::{OccLevel, SkeletonOptions};
 use neon_serve::{
     solo_run_bits, DeviceLoss, JobRequest, LinkFault, SchedPolicy, ServeConfig, Server, TenantSpec,
 };
-use neon_sys::Backend;
+use neon_sys::{Backend, DeviceId};
 
 fn options() -> SkeletonOptions {
     SkeletonOptions::with_occ(OccLevel::Standard)
@@ -101,6 +101,40 @@ fn multiplexed_jobs_are_bit_identical_to_solo_runs() {
         report.cache_hits,
         report.cache_misses
     );
+}
+
+/// A tenant is charged exactly the traffic its job reports: with one job
+/// and no faults, the account equals a solo build + `advance(total)` on an
+/// equal-size backend — the CG setup execution included, since it lands
+/// in the first quantum's time too.
+#[test]
+fn tenant_traffic_equals_the_solo_job_report() {
+    let fleet = Backend::dgx_a100(4);
+    let spec = poisson(8, 5, 13);
+    let mut server = Server::new(
+        &fleet,
+        vec![TenantSpec::new("a", 1.0)],
+        ServeConfig {
+            quantum_iters: 2,
+            ..ServeConfig::default()
+        },
+    );
+    let report = server.run(vec![JobRequest {
+        tenant: 0,
+        spec,
+        ndev: 2,
+        arrival_us: 0.0,
+    }]);
+    assert!(report.outcomes[0].completed);
+
+    let backend = fleet
+        .with_devices(&[DeviceId(0), DeviceId(1)])
+        .expect("subset");
+    let mut solo = spec.build(&backend, options()).expect("solo job");
+    let solo_report = solo.advance(spec.iters());
+    assert!(solo_report.counters.kernel_launches > 0);
+    assert_eq!(report.tenants[0].iterations, spec.iters());
+    assert_eq!(report.tenants[0].counters, solo_report.counters);
 }
 
 #[test]

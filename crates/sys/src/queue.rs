@@ -43,10 +43,10 @@ impl StreamId {
 pub struct EventId(pub usize);
 
 /// A point-in-time snapshot of a [`QueueSim`]'s cumulative utilization
-/// counters. Subtracting two snapshots (`after - before`) yields the traffic
-/// of exactly the window between them, which is how concurrent tenants slice
-/// their own usage out of shared counters without a global
-/// [`QueueSim::reset_counters`] (which would race under multi-tenancy).
+/// counters — the one type that carries traffic counts. Subtracting two
+/// snapshots (`after - before`) yields the traffic of exactly the window
+/// between them: the executor reports each execution's delta in
+/// `ExecReport::counters`, and reports fold with [`CounterSnapshot::accumulate`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CounterSnapshot {
     /// Kernel launches recorded so far.
@@ -89,9 +89,9 @@ impl CounterSnapshot {
 impl std::ops::Sub for CounterSnapshot {
     type Output = CounterSnapshot;
 
-    /// Delta between two snapshots. Saturates rather than panics so a delta
-    /// taken across a [`QueueSim::reset_counters`] degrades to zero instead
-    /// of poisoning accounting.
+    /// Delta between two snapshots. Saturates rather than panics, so a
+    /// delta whose `before` came from another (e.g. rebuilt) queue degrades
+    /// to zero instead of poisoning accounting.
     fn sub(self, before: CounterSnapshot) -> CounterSnapshot {
         CounterSnapshot {
             kernel_launches: self.kernel_launches.saturating_sub(before.kernel_launches),
@@ -521,32 +521,10 @@ impl QueueSim {
         }
     }
 
-    /// Zero the cumulative utilization counters (kernel launches, bytes
-    /// moved, per-link busy totals and contention counts) without touching
-    /// clocks, events or the trace. [`QueueSim::reset`] deliberately keeps
-    /// these counters so multi-execution reports accumulate.
-    ///
-    /// This is a *global* reset: under multi-tenancy (several jobs sharing
-    /// one process, as in `neon-serve`) it erases everyone's counters, not
-    /// just the caller's. Prefer [`QueueSim::counters_snapshot`] and delta
-    /// subtraction, which compose; this method is kept for single-owner
-    /// callers and tests.
-    pub fn reset_counters(&mut self) {
-        self.kernel_launches = 0;
-        self.kernel_bytes_moved = 0;
-        self.redundant_flops = 0;
-        self.halo_rounds = 0;
-        for l in &mut self.links {
-            l.busy_total = SimTime::ZERO;
-            l.contended = 0;
-            l.bytes_total = 0;
-        }
-    }
-
-    /// Snapshot the cumulative utilization counters. Take one snapshot
-    /// before a measured (or tenant-attributed) window and one after;
-    /// `after - before` is the window's own traffic, untouched by whatever
-    /// other jobs did to the same counters in between their own windows.
+    /// Snapshot the cumulative utilization counters (they only grow;
+    /// [`QueueSim::reset`] keeps them). Take one snapshot before a
+    /// measured window and one after; `after - before` is the window's
+    /// own traffic.
     pub fn counters_snapshot(&self) -> CounterSnapshot {
         CounterSnapshot {
             kernel_launches: self.kernel_launches,
@@ -584,36 +562,15 @@ impl QueueSim {
         self.kernel_bytes_moved += bytes;
     }
 
-    /// Cumulative kernel launches recorded since construction (survives
-    /// [`QueueSim::reset`]).
-    pub fn kernel_launches(&self) -> u64 {
-        self.kernel_launches
-    }
-
-    /// Cumulative bytes swept by recorded kernel launches.
-    pub fn kernel_bytes_moved(&self) -> u64 {
-        self.kernel_bytes_moved
-    }
-
     /// Record ghost-zone flops a temporally-blocked launch recomputed
     /// instead of receiving via halo exchange (utilization counter).
     pub fn record_redundant_flops(&mut self, flops: u64) {
         self.redundant_flops += flops;
     }
 
-    /// Cumulative ghost-zone flops recomputed by temporally-blocked launches.
-    pub fn redundant_flops(&self) -> u64 {
-        self.redundant_flops
-    }
-
     /// Record one halo exchange round (all segments of one halo node).
     pub fn record_halo_round(&mut self) {
         self.halo_rounds += 1;
-    }
-
-    /// Cumulative halo exchange rounds recorded.
-    pub fn halo_rounds(&self) -> u64 {
-        self.halo_rounds
     }
 
     /// Number of link resources touched so far.
@@ -887,30 +844,29 @@ mod tests {
     #[test]
     fn kernel_launch_counters_accumulate_and_survive_reset() {
         let mut q = QueueSim::new(1, 1);
-        assert_eq!(q.kernel_launches(), 0);
-        assert_eq!(q.kernel_bytes_moved(), 0);
+        assert_eq!(q.counters_snapshot(), CounterSnapshot::default());
         q.record_launch(1024);
         q.record_launch(512);
-        assert_eq!(q.kernel_launches(), 2);
-        assert_eq!(q.kernel_bytes_moved(), 1536);
+        let c = q.counters_snapshot();
+        assert_eq!((c.kernel_launches, c.kernel_bytes_moved), (2, 1536));
         q.reset();
-        assert_eq!(q.kernel_launches(), 2, "utilization counters survive reset");
-        assert_eq!(q.kernel_bytes_moved(), 1536);
+        assert_eq!(
+            q.counters_snapshot(),
+            c,
+            "utilization counters survive reset"
+        );
     }
 
     #[test]
-    fn temporal_counters_accumulate_snapshot_and_reset() {
+    fn temporal_counters_accumulate_and_snapshot() {
         let mut q = QueueSim::new(1, 1);
-        assert_eq!(q.redundant_flops(), 0);
-        assert_eq!(q.halo_rounds(), 0);
         q.record_redundant_flops(300);
         q.record_halo_round();
         q.record_halo_round();
-        assert_eq!(q.redundant_flops(), 300);
-        assert_eq!(q.halo_rounds(), 2);
+        let c = q.counters_snapshot();
+        assert_eq!((c.redundant_flops, c.halo_rounds), (300, 2));
         q.reset();
-        assert_eq!(q.redundant_flops(), 300, "survive queue reset");
-        assert_eq!(q.halo_rounds(), 2);
+        assert_eq!(q.counters_snapshot(), c, "survive queue reset");
         let before = q.counters_snapshot();
         q.record_redundant_flops(50);
         q.record_halo_round();
@@ -922,26 +878,6 @@ mod tests {
         total.accumulate(&delta);
         assert_eq!(total.redundant_flops, 100);
         assert_eq!(total.halo_rounds, 2);
-        q.reset_counters();
-        assert_eq!(q.redundant_flops(), 0);
-        assert_eq!(q.halo_rounds(), 0);
-    }
-
-    #[test]
-    fn reset_counters_zeroes_utilization_only() {
-        let mut q = QueueSim::new(2, 1);
-        let d = SimTime::from_us(10.0);
-        q.record_launch(1024);
-        q.enqueue_transfer(s(0, 0), SimTime::ZERO, d, &[0], "a", SpanKind::Transfer);
-        q.enqueue_transfer(s(1, 0), SimTime::ZERO, d, &[0], "b", SpanKind::Transfer);
-        assert_eq!(q.link_contention_events(0), 1);
-        q.reset_counters();
-        assert_eq!(q.kernel_launches(), 0);
-        assert_eq!(q.kernel_bytes_moved(), 0);
-        assert_eq!(q.link_busy_time(0), SimTime::ZERO);
-        assert_eq!(q.link_contention_events(0), 0);
-        // Clocks are untouched: the streams are still busy.
-        assert!(q.makespan().as_us() > 0.0);
     }
 
     #[test]
@@ -961,18 +897,16 @@ mod tests {
         assert_eq!(delta.link_busy.as_us(), 20.0);
         assert_eq!(delta.link_contended, 1);
         // The cumulative counters were never disturbed.
-        assert_eq!(q.kernel_launches(), 2);
+        assert_eq!(q.counters_snapshot().kernel_launches, 2);
         // Deltas accumulate across executors/migrations.
         let mut total = CounterSnapshot::default();
         total.accumulate(&delta);
         total.accumulate(&delta);
         assert_eq!(total.kernel_launches, 2);
         assert_eq!(total.link_busy.as_us(), 40.0);
-        // A delta taken across a reset saturates to zero instead of panicking.
-        let hi = q.counters_snapshot();
-        q.reset_counters();
-        let across = q.counters_snapshot() - hi;
-        assert_eq!(across, CounterSnapshot::default());
+        // A delta against a later snapshot saturates to zero instead of
+        // panicking.
+        assert_eq!(before - q.counters_snapshot(), CounterSnapshot::default());
     }
 
     #[test]
@@ -1138,12 +1072,9 @@ mod tests {
         );
         let delta = q.counters_snapshot() - before;
         assert_eq!(delta.slow_link_bytes, 25);
-        // reset() keeps byte counters, reset_counters() zeroes them.
+        // reset() keeps byte counters.
         q.reset();
         assert_eq!(q.link_bytes(0), 125);
-        q.reset_counters();
-        assert_eq!(q.link_bytes(0), 0);
-        assert_eq!(q.counters_snapshot().slow_link_bytes, 0);
     }
 
     #[test]

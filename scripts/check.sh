@@ -5,6 +5,9 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+# CI sets this for every step (neonbench/ included): warnings fail the build.
+export RUSTFLAGS="-D warnings"
+
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 
